@@ -20,9 +20,8 @@ bench:
 # recorded end-to-end speedup, and the initpart-fraction gate.  The
 # fraction override (0.95, vs the 0.40 default) is deliberate: the smoke
 # ladder is ~85-90% initpart *by construction* (tiny graphs, coarsening
-# and refinement are near-free) and the recording box has a single core,
-# so the pool cannot fan out -- docs/performance.md#initial-partitioning
-# explains the honest numbers.  Multi-core runners can tighten this.
+# and refinement are near-free) -- docs/performance.md#initial-partitioning
+# explains the honest numbers.  Larger ladders can tighten this.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/perf_guard.py --smoke
 	PYTHONPATH=src python benchmarks/perf_guard.py --check --max-init-fraction 0.95

@@ -84,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-patience", type=int, metavar="P",
                    help="plateau patience of the initial bisection's "
                         "early stop (0 disables it)")
-    p.add_argument("--init-workers", type=int, metavar="W",
-                   help="process-pool workers for initial-bisection "
-                        "candidates (0 = in-process, bit-identical)")
     p.add_argument("--strict-ntries", action="store_true",
                    help="exact legacy multi-start: every round runs every "
                         "method, no early stop, no duplicate skipping")
@@ -314,8 +311,6 @@ def main(argv=None) -> int:
                 m.strip() for m in args.init_methods.split(",") if m.strip())
         if args.init_patience is not None:
             init_opts["init_patience"] = args.init_patience
-        if args.init_workers is not None:
-            init_opts["init_workers"] = args.init_workers
         if args.strict_ntries:
             init_opts["strict_ntries"] = True
         if args.effort is not None:

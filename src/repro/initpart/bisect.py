@@ -35,8 +35,7 @@ time before this rewrite):
   without improving;
 * every candidate's seed is pre-drawn from the parent stream in one batch
   (bit-identical to the legacy per-candidate ``spawn``), so the schedule is
-  deterministic and independent tries can be fanned out across a process
-  pool (``pool=``) with a bit-identical single-process fallback.
+  deterministic however far the plateau detector lets it run.
 
 ``strict=True`` restores the exact legacy exploration (every round runs all
 methods, no early stop); :func:`_reference_initial_bisection` keeps the
@@ -352,7 +351,6 @@ def initial_bisection(
     diverse_rounds: int = 1,
     patience: int = 6,
     strict: bool = False,
-    pool=None,
     tracer=None,
 ) -> np.ndarray:
     """Compute an initial bisection of (a small) ``graph``.
@@ -366,9 +364,7 @@ def initial_bisection(
     disables the plateau detector).
 
     ``strict=True`` restores the exact legacy behaviour: every round runs
-    every method and no early stop is taken.  ``pool`` (an
-    :class:`repro.initpart.pool.InitPool`) fans candidate refinement across
-    worker processes with a bit-identical result.  ``tracer`` records one
+    every method and no early stop is taken.  ``tracer`` records one
     ``initbisect`` span per call (candidate counts, winning method/cut).
     """
     if graph.nvtxs == 0:
@@ -409,103 +405,55 @@ def initial_bisection(
     since = 0
     seen: set[bytes] = set()
 
-    def consider(method, where, st):
-        """Sequential best-so-far / plateau bookkeeping; True => stop."""
-        nonlocal best_where, best_key, best_method, since, plateau_stop
-        key = (not st.feasible, st.final_cut, st.balance)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_where = where.copy()
-            best_method = method
-            since = 0
-        else:
-            since += 1
-        if stop_early and since >= patience:
-            plateau_stop = True
-            return True
-        return False
-
     with tracer.span("initbisect", nvtxs=graph.nvtxs) as sp:
-        if pool is not None and not strict:
-            # Fan-out: generate every candidate up front, refine the
-            # distinct ones on the pool, then replay the sequential
-            # plateau walk over the ordered results -- same winner as the
-            # in-process path, computed in parallel.
-            idx = 0
+        idx = 0
+        for rnd in schedule:
+            if plateau_stop:
+                break
+            # Batched generation: produce the whole round, then score the
+            # stacked candidates' raw cuts in one vectorized sweep.
             cands = []
-            for rnd in schedule:
-                for method in rnd:
-                    child = np.random.default_rng(int(seeds[idx]))
-                    idx += 1
-                    cands.append(
-                        (method, _generate_candidate(method, graph, relw, target, child, gen_scratch))
-                    )
-            generated = len(cands)
+            for method in rnd:
+                child = np.random.default_rng(int(seeds[idx]))
+                idx += 1
+                cands.append(
+                    (method, _generate_candidate(method, graph, relw, target, child, gen_scratch))
+                )
+            generated += len(cands)
             raw = _raw_cuts(cands, gen_scratch, graph)
-            raw_best = int(raw.min()) if raw.size else None
-            slots = []  # per candidate: index into uniq, or -1 for a dup
-            uniq = []
+            if raw.size:
+                rb = int(raw.min())
+                raw_best = rb if raw_best is None else min(raw_best, rb)
             for method, where in cands:
                 wb = where.tobytes()
                 if wb in seen:
-                    slots.append(-1)
-                else:
-                    seen.add(wb)
-                    slots.append(len(uniq))
-                    uniq.append(where)
-            results = pool.refine_batch(
-                graph, uniq, target_fracs=fracs2, ubvec=ubvec, npasses=refine_passes
-            )
-            refined = len(uniq)
-            for (method, _), slot in zip(cands, slots):
-                if slot < 0:
+                    # FM refinement is a pure function of the start vector,
+                    # so re-refining a duplicate cannot change the outcome;
+                    # skip it (doesn't count as non-improving for the
+                    # plateau detector).
                     dedup_skips += 1
                     continue
-                where_ref, st = results[slot]
-                if consider(method, where_ref, st):
+                seen.add(wb)
+                st = fm2way_refine(
+                    graph,
+                    where,
+                    target_fracs=fracs2,
+                    ubvec=ubvec,
+                    npasses=refine_passes,
+                    scratch=fm_scratch,
+                )
+                refined += 1
+                key = (not st.feasible, st.final_cut, st.balance)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_where = where.copy()
+                    best_method = method
+                    since = 0
+                else:
+                    since += 1
+                if stop_early and since >= patience:
+                    plateau_stop = True
                     break
-        else:
-            idx = 0
-            done = False
-            for rnd in schedule:
-                if done:
-                    break
-                # Batched generation: produce the whole round, then score
-                # the stacked candidates' raw cuts in one vectorized sweep.
-                cands = []
-                for method in rnd:
-                    child = np.random.default_rng(int(seeds[idx]))
-                    idx += 1
-                    cands.append(
-                        (method, _generate_candidate(method, graph, relw, target, child, gen_scratch))
-                    )
-                generated += len(cands)
-                raw = _raw_cuts(cands, gen_scratch, graph)
-                if raw.size:
-                    rb = int(raw.min())
-                    raw_best = rb if raw_best is None else min(raw_best, rb)
-                for method, where in cands:
-                    wb = where.tobytes()
-                    if wb in seen:
-                        # FM refinement is a pure function of the start
-                        # vector, so re-refining a duplicate cannot change
-                        # the outcome; skip it (doesn't count as
-                        # non-improving for the plateau detector).
-                        dedup_skips += 1
-                        continue
-                    seen.add(wb)
-                    st = fm2way_refine(
-                        graph,
-                        where,
-                        target_fracs=fracs2,
-                        ubvec=ubvec,
-                        npasses=refine_passes,
-                        scratch=fm_scratch,
-                    )
-                    refined += 1
-                    if consider(method, where, st):
-                        done = True
-                        break
         if tracer.enabled:
             sp.set(
                 candidates=refined,

@@ -52,9 +52,6 @@ class PartitionOptions:
     strict_ntries:
         Run the exact legacy multi-start (every round runs every method,
         no plateau stop, no duplicate skipping).
-    init_workers:
-        Process-pool workers for initial-bisection candidate refinement
-        (0 = in-process; results are bit-identical either way).
     refine_passes:
         FM passes per uncoarsening level (2-way).
     kway_refine_passes:
@@ -102,7 +99,6 @@ class PartitionOptions:
     init_diverse_rounds: int = 1
     init_patience: int = 6
     strict_ntries: bool = False
-    init_workers: int = 0
     refine_passes: int = 8
     kway_refine_passes: int = 8
     rb_multilevel: bool = True
@@ -128,8 +124,8 @@ class PartitionOptions:
             raise PartitionError("coarsen_to must be >= 2")
         if self.init_ntries < 1 or self.refine_passes < 0 or self.kway_refine_passes < 0:
             raise PartitionError("iteration counts must be positive")
-        if self.init_patience < 0 or self.init_diverse_rounds < 0 or self.init_workers < 0:
-            raise PartitionError("init_patience/init_diverse_rounds/init_workers must be >= 0")
+        if self.init_patience < 0 or self.init_diverse_rounds < 0:
+            raise PartitionError("init_patience/init_diverse_rounds must be >= 0")
         if not isinstance(self.init_methods, tuple):
             object.__setattr__(self, "init_methods", tuple(self.init_methods))
         if not self.init_methods:

@@ -75,13 +75,6 @@ def multilevel_bisection(
 
     coarsest = hier.coarsest if hier is not None else graph
     (init_rng, refine_rng) = spawn(rng, 2)
-    pool = None
-    if options.init_workers > 0:
-        # Deferred import: the pool pulls in concurrent.futures machinery
-        # the serial path never needs.
-        from ..initpart.pool import get_pool
-
-        pool = get_pool(options.init_workers)
     where = initial_bisection(
         coarsest,
         target_fracs=(target, 1.0 - target),
@@ -92,7 +85,6 @@ def multilevel_bisection(
         diverse_rounds=options.init_diverse_rounds,
         patience=options.init_patience,
         strict=options.strict_ntries,
-        pool=pool,
         tracer=tracer,
     )
     if hier is not None:

@@ -166,18 +166,18 @@ class ProcessBackend(ComputeBackend):
         return (graph.xadj, graph.adjncy, graph.vwgt, graph.adjwgt)
 
     def compute(self, graph, nparts, *, method, options, target_fracs,
-                graph_token=None):
+                graph_token):
         pool = self._ensure_pool()
-        token = graph_token or f"anon-{id(graph)}"
         with self._lock:
-            token_only = token in self._shipped
+            token_only = graph_token in self._shipped
             self._counters["serve.cluster.computes"] += 1
         if token_only:
             # Optimistic: some worker already holds this graph.
             with self._lock:
                 self._counters["serve.cluster.ship.token"] += 1
-            out, delta = pool.submit(_worker_compute, token, None, nparts,
-                                     method, options, target_fracs).result()
+            out, delta = pool.submit(_worker_compute, graph_token, None,
+                                     nparts, method, options,
+                                     target_fracs).result()
             self._absorb_delta(delta)
             if not (isinstance(out, str) and out == _NEED_GRAPH):
                 return out
@@ -186,9 +186,9 @@ class ProcessBackend(ComputeBackend):
                 self._counters["serve.cluster.ship.retry"] += 1
         with self._lock:
             self._counters["serve.cluster.ship.full"] += 1
-            self._shipped.add(token)
-        out, delta = pool.submit(_worker_compute, token, self._blob(graph),
-                                 nparts, method, options,
+            self._shipped.add(graph_token)
+        out, delta = pool.submit(_worker_compute, graph_token,
+                                 self._blob(graph), nparts, method, options,
                                  target_fracs).result()
         self._absorb_delta(delta)
         return out

@@ -40,7 +40,7 @@ from dataclasses import fields as dc_fields
 import numpy as np
 
 from ..partition.api import PartitionResult
-from ..partition.config import PartitionOptions
+from ..partition.config import OPTION_FIELDS, PartitionOptions
 from .key import RequestKey
 
 __all__ = ["DiskCache"]
@@ -230,9 +230,12 @@ class DiskCache:
             raise ValueError("disk-cache entry does not match its digest")
         if part.ndim != 1 or imbalance.shape != (int(meta["ncon"]),):
             raise ValueError("disk-cache entry has malformed arrays")
+        # Fields outside OPTION_FIELDS are options an older version wrote
+        # and has since removed; none of them was ever part of the digest.
         opts = meta.get("options")
         options = PartitionOptions(**{k: tuple(v) if isinstance(v, list)
-                                      else v for k, v in opts.items()}
+                                      else v for k, v in opts.items()
+                                      if k in OPTION_FIELDS}
                                    ) if opts else None
         return PartitionResult(
             part=part,

@@ -31,15 +31,17 @@ class ComputeBackend:
     ``compute`` runs synchronously from the perspective of the service's
     request thread (the service already fans requests across its own
     pool); a backend is free to forward the call to another process.
-    ``graph_token`` is a stable content token for the graph (the service
-    passes one derived from the request key) that backends may use to
-    avoid re-marshalling a graph they already shipped.
+    ``graph_token`` is a required stable content token for the graph (the
+    service derives it from the request key's SHA-256 digests).  Backends
+    that marshal graphs use it to avoid re-shipping one they already
+    shipped; :class:`ThreadBackend` ignores it.  There is no identity-based
+    fallback: an ``id(graph)`` key could be reused by a different graph.
     """
 
     name = "abstract"
 
     def compute(self, graph, nparts, *, method, options, target_fracs,
-                graph_token=None):
+                graph_token):
         raise NotImplementedError
 
     def close(self, wait: bool = True) -> None:
@@ -67,7 +69,7 @@ class ThreadBackend(ComputeBackend):
     name = "thread"
 
     def compute(self, graph, nparts, *, method, options, target_fracs,
-                graph_token=None):
+                graph_token):
         # Late lookup through the service module so tests (and users) that
         # monkeypatch ``repro.serve.service.part_graph`` keep intercepting
         # the compute seam, as they did before the backend split.

@@ -38,9 +38,9 @@ from ..weights.balance import as_target_fracs, as_ubvec
 __all__ = ["RequestKey", "request_key", "SEMANTIC_OPTION_FIELDS"]
 
 #: PartitionOptions fields that change the returned partition.  Everything
-#: except ``collect_stats`` (observability-only) and ``init_workers`` (the
-#: init pool is bit-identical at any worker count).  ``seed`` is handled
-#: separately through :func:`repro._rng.canonical_seed`.
+#: except ``collect_stats`` (observability-only).  ``seed`` is handled
+#: separately through :func:`repro._rng.canonical_seed`, and ``ubvec`` is
+#: hashed as its canonical per-constraint array.
 SEMANTIC_OPTION_FIELDS = (
     "matching",
     "coarsen_to",

@@ -100,6 +100,36 @@ class TestDiskCacheRoundTrip:
         assert stray == []
 
 
+    def test_entry_with_retired_option_field_still_hits(self, tmp_path):
+        """An option field that a later version removed, still stored in
+        an older entry's options, is ignored on load rather than treated
+        as damage: no such field was ever part of the digest."""
+        import io
+        import json
+
+        g = make_graph()
+        key, result = keyed_result(g, 4)
+        assert DiskCache(tmp_path).put(key, result)
+        (path,) = entry_paths(tmp_path)
+        with np.load(path, allow_pickle=False) as z:
+            arrays = {name: z[name] for name in z.files}
+        meta = json.loads(bytes(arrays["meta"].tobytes()))
+        meta["options"]["retired_knob"] = 0
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
+                                       dtype=np.uint8)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        with open(path, "wb") as fh:
+            fh.write(buf.getvalue())
+
+        cache = DiskCache(tmp_path)
+        got = cache.get(key)
+        assert got is not None and same_result(got, result)
+        assert got.options == result.options
+        assert cache.counters()["serve.diskcache.corrupt"] == 0
+        assert os.path.exists(path)
+
+
 # --------------------------------------------------------------------- #
 # Corruption -> miss + quarantine
 # --------------------------------------------------------------------- #

@@ -318,14 +318,19 @@ class TestInitOptionsFrontDoor:
             PartitionOptions(init_methods=("greedy", "prefx"))
 
     def test_negative_knobs_rejected(self):
-        from repro.partition import PartitionOptions
+        from repro.partition import PartitionOptions, part_graph
 
         with pytest.raises(PartitionError):
             PartitionOptions(init_ntries=0)
         with pytest.raises(PartitionError):
             PartitionOptions(init_patience=-1)
-        with pytest.raises(PartitionError):
-            PartitionOptions(init_workers=-2)
+        # init_workers (the removed initial-bisection process pool) is no
+        # longer an option: both front doors reject it as unknown.
+        g = mesh_like(60, seed=1)
+        with pytest.raises(PartitionError, match="init_workers"):
+            part_graph(g, 4, init_workers=2)
+        with pytest.raises(PartitionError, match="init_workers"):
+            PartitionOptions().with_(init_workers=2)
 
     def test_cli_flags_reach_options(self):
         from repro.cli import build_parser
@@ -333,12 +338,17 @@ class TestInitOptionsFrontDoor:
         args = build_parser().parse_args(
             ["--demo", "100", "2", "--init-ntries", "3",
              "--init-methods", "greedy,gggp", "--init-patience", "2",
-             "--init-workers", "0", "--strict-ntries"])
+             "--strict-ntries"])
         assert args.init_ntries == 3
         assert args.init_methods == "greedy,gggp"
         assert args.init_patience == 2
-        assert args.init_workers == 0
         assert args.strict_ntries is True
+        # --init-workers went away with the init pool: argparse's usage
+        # error (exit status 2), not a silently ignored flag.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["--demo", "100", "2", "--init-workers", "0"])
+        assert exc.value.code == 2
 
     def test_cli_typo_exits_with_suggestion(self, capsys):
         from repro.cli import main

@@ -103,6 +103,17 @@ class TestRequestKey:
         assert k1.digest != k2.digest
         assert k1.topo_digest == k2.topo_digest
 
+    def test_every_option_field_is_classified(self):
+        """Each PartitionOptions field is hashed into the key or left out
+        on purpose; a new option that is neither would let different
+        requests share a cache entry."""
+        from repro.partition.config import OPTION_FIELDS
+        from repro.serve.key import SEMANTIC_OPTION_FIELDS
+
+        assert set(SEMANTIC_OPTION_FIELDS) <= set(OPTION_FIELDS)
+        assert set(OPTION_FIELDS) - set(SEMANTIC_OPTION_FIELDS) == {
+            "seed", "ubvec", "collect_stats"}
+
     def test_collect_stats_is_not_semantic(self):
         g = make_graph()
         k1, _ = request_key(g, 4, options=PartitionOptions(seed=3))
