@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test bench bench-smoke bench-initpart-ablation docs-check chaos-smoke serve-smoke serve-cluster-smoke parallel-shm-smoke obs-smoke vcycle-smoke examples smoke all clean
+.PHONY: install test bench bench-smoke bench-initpart-ablation docs-check chaos-smoke serve-smoke serve-cluster-smoke parallel-shm-smoke obs-smoke vcycle-smoke perfbench-smoke examples smoke all clean
 
 install:
 	pip install -e .
@@ -95,6 +95,12 @@ vcycle-smoke:
 	PYTHONPATH=src python -m pytest tests/test_vcycle.py -q
 	PYTHONPATH=src:benchmarks python benchmarks/bench_vcycle.py
 	PYTHONPATH=src:benchmarks python benchmarks/bench_vcycle.py --check
+
+# The benchmark still runs against src/: one short traced ladder_12k run.
+# It exits non-zero when a function perfbench/spans.py rebinds has gone,
+# when tracing changes a partition, or when any output check fails.
+perfbench-smoke:
+	python3 perfbench/run.py --workload ladder_12k --seed 1 --seconds 2 --trace 1
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex || exit 1; done

@@ -316,7 +316,7 @@ def _pipeline(graph, nparts, nranks, options, fabric, policy, tracer, root,
             fabric.gather(
                 [np.zeros(cur.nvtxs // max(nranks, 1), dtype=np.int64)] * nranks)
             (irng,) = spawn(rng, 1)
-            init_opts = options.with_(seed=irng, final_balance=True)
+            init_opts = options.with_(seed=irng)
             w = partition_recursive(cur, nparts, init_opts, tracer=tracer)
             fabric.add_compute(0, 20 * (cur.nvtxs + 2 * cur.nedges))
             fabric.bcast(w)

@@ -31,6 +31,8 @@ class PartitionOptions:
         handshaking HEM -- fastest, no balanced-edge tie-break).
     coarsen_to:
         Coarsest-graph size for 2-way multilevel bisection (default 100).
+        A (sub)graph of at most ``2 * coarsen_to`` vertices is bisected
+        directly, without coarsening.
     kway_coarsen_factor:
         The k-way driver coarsens to ``max(kway_coarsen_factor * nparts,
         coarsen_to)`` vertices.
@@ -56,13 +58,6 @@ class PartitionOptions:
         FM passes per uncoarsening level (2-way).
     kway_refine_passes:
         Greedy passes per uncoarsening level (k-way).
-    rb_multilevel:
-        When false the recursive-bisection driver skips coarsening and
-        bisects every (sub)graph directly -- used for the initial k-way
-        partition of an already-coarse graph, and by ablation benches.
-    final_balance:
-        Run a global k-way balancing pass on the assembled partition when
-        some constraint ended outside tolerance.
     collect_stats:
         Record a multilevel trace (per-level sizes, cut and imbalance after
         each refinement step, phase timings) in ``PartitionResult.stats``
@@ -70,9 +65,6 @@ class PartitionOptions:
         private in-memory :class:`repro.trace.Tracer` via
         ``part_graph(..., tracer=...)``; off by default so the hot path
         runs on the no-op tracer.
-    kway_policy:
-        Sweep order of the k-way refiner: ``"greedy"`` (randomised
-        boundary sweep) or ``"priority"`` (gain-ordered queue).
     effort:
         Quality/time trade-off preset: ``"fast"`` (cheaper initial
         partitioning -- fewer candidate rounds and refinement passes),
@@ -101,10 +93,7 @@ class PartitionOptions:
     strict_ntries: bool = False
     refine_passes: int = 8
     kway_refine_passes: int = 8
-    rb_multilevel: bool = True
-    final_balance: bool = True
     collect_stats: bool = False
-    kway_policy: str = "greedy"
     effort: str = "standard"
     vcycle_max: int = 8
     vcycle_patience: int = 2
@@ -112,8 +101,6 @@ class PartitionOptions:
     def __post_init__(self):
         if self.matching not in ("hem", "bem", "rm", "fhem"):
             raise PartitionError(f"unknown matching scheme {self.matching!r}")
-        if self.kway_policy not in ("greedy", "priority"):
-            raise PartitionError(f"unknown k-way policy {self.kway_policy!r}")
         if self.effort not in ("fast", "standard", "high"):
             raise OptionsError(
                 f"unknown effort level {self.effort!r}; "

@@ -100,13 +100,14 @@ def partition_kway(
     # The nested bisections only need a genuinely O(k)-vertex coarsest
     # graph, so cap their coarsening target below the global default --
     # the multi-start candidates then run on a smaller graph without
-    # touching the outer driver's coarsen_to.
+    # touching the outer driver's coarsen_to.  A coarsest graph of at most
+    # 4x that cap is bisected directly: coarsen_to = its own size keeps
+    # every nested (sub)graph under multilevel_bisection's threshold.
     rb_coarsen_to = min(options.coarsen_to, 80)
     init_opts = options.with_(
         seed=init_rng,
-        coarsen_to=rb_coarsen_to,
-        rb_multilevel=coarsest.nvtxs > 4 * rb_coarsen_to,
-        final_balance=True,
+        coarsen_to=(rb_coarsen_to if coarsest.nvtxs > 4 * rb_coarsen_to
+                    else coarsest.nvtxs),
     )
     with tracer.span("initpart", nvtxs=coarsest.nvtxs) as isp:
         where = partition_recursive(coarsest, nparts, init_opts,
@@ -121,6 +122,7 @@ def partition_kway(
             graph=coarsest, where=where, nparts=nparts, fracs=fracs,
             cut=int(edge_cut(coarsest, where)), seconds=isp.seconds)
 
+    st = None  # stays None when coarsening stalled at level 0
     with tracer.span("refine") as rsp:
         if hier is not None:
             for idx in range(len(hier.levels) - 1, -1, -1):
@@ -135,7 +137,6 @@ def partition_kway(
                         ubvec=ub,
                         target_fracs=fracs,
                         npasses=options.kway_refine_passes,
-                        policy=options.kway_policy,
                         seed=refine_rng,
                     )
                     if tracer.enabled:
@@ -162,7 +163,7 @@ def partition_kway(
         else:
             st = kway_refine(graph, where, nparts, ubvec=ub, target_fracs=fracs,
                              npasses=options.kway_refine_passes,
-                             policy=options.kway_policy, seed=refine_rng)
+                             seed=refine_rng)
             if tracer.enabled:
                 rsp.set(cut=int(st.final_cut), moves=int(st.moves),
                         passes=int(st.passes))
@@ -179,7 +180,10 @@ def partition_kway(
     if tracer.enabled:
         tracer.observe("phase_seconds.refine", rsp.seconds)
 
-    if options.final_balance:
+    # The last kway_refine ran on the finest graph and already balanced it
+    # when it reports feasible; a final balance_kway would rebuild the
+    # whole k-way state only to make no move.
+    if st is None or not st.feasible:
         with tracer.span("balance"):
             balance_kway(graph, where, nparts, ubvec=ub, target_fracs=fracs)
 

@@ -9,7 +9,7 @@ Per-split tolerance: if the final partition must satisfy ``ubvec`` then each
 of the ``ceil(log2 k)`` nested splits gets tolerance
 ``1 + (ub - 1) / ceil(log2 k)``; the compounded tolerance is then
 ``(1 + d)^log2(k) ≈ ub``.  Any residual violation is repaired by a global
-k-way balancing pass at the end (``options.final_balance``).
+k-way balancing pass at the end.
 
 Performance: this driver is the main consumer of the 2-way FM kernel --
 each bisection FM-refines ``ntries × |methods|`` initial candidates at the
@@ -60,7 +60,7 @@ def multilevel_bisection(
     if graph.nvtxs == 0:
         return np.zeros(0, dtype=np.int64)
 
-    if options.rb_multilevel and graph.nvtxs > 2 * options.coarsen_to:
+    if graph.nvtxs > 2 * options.coarsen_to:
         hier = coarsen(
             graph,
             coarsen_to=options.coarsen_to,
@@ -154,9 +154,7 @@ def partition_recursive(
         where = np.zeros(graph.nvtxs, dtype=np.int64)
         _rb(graph, nparts, np.arange(graph.nvtxs, dtype=np.int64), where,
             ub_split, options, rng, tracer, fracs)
-
-        if options.final_balance:
-            balance_kway(graph, where, nparts, ubvec=ub, target_fracs=fracs)
+        balance_kway(graph, where, nparts, ubvec=ub, target_fracs=fracs)
     return where
 
 

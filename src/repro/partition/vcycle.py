@@ -154,15 +154,13 @@ def vcycle_once(
 
         kway_refine(
             hier.coarsest, where, nparts, ubvec=ub, target_fracs=fracs,
-            npasses=options.kway_refine_passes, policy=options.kway_policy,
-            seed=refine_rng)
+            npasses=options.kway_refine_passes, seed=refine_rng)
         for idx in range(len(hier.levels) - 1, -1, -1):
             lvl = hier.levels[idx]
             where = where[lvl.cmap]
             kway_refine(
                 lvl.graph, where, nparts, ubvec=ub, target_fracs=fracs,
-                npasses=options.kway_refine_passes, policy=options.kway_policy,
-                seed=refine_rng)
+                npasses=options.kway_refine_passes, seed=refine_rng)
 
         out_key = _quality_key(graph, where, nparts, ub, fracs)
         if out_key > in_key:  # monotonicity guard: never hand back worse

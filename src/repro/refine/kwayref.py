@@ -251,23 +251,15 @@ def kway_refine(
     ubvec=1.05,
     target_fracs=None,
     npasses: int = 10,
-    policy: str = "greedy",
     seed=None,
 ) -> KWayStats:
     """Greedy k-way refinement; mutates ``where`` in place.
 
     Runs :func:`balance_kway` first whenever the partition is infeasible,
-    then boundary passes until a pass makes no move (or ``npasses`` is
-    exhausted).  ``policy`` selects the sweep order:
-
-    * ``"greedy"`` -- randomised boundary sweep (the coarse-grain-friendly
-      order, cheap);
-    * ``"priority"`` -- a gain-ordered priority queue: the highest-gain
-      boundary vertex moves first and neighbour priorities are updated
-      incrementally (closer to the serial FM spirit, a little slower).
+    then randomised boundary sweeps until a sweep makes no move (or
+    ``npasses`` is exhausted), re-balancing after any sweep that left the
+    partition infeasible.
     """
-    if policy not in ("greedy", "priority"):
-        raise PartitionError(f"unknown k-way refinement policy {policy!r}")
     rng = as_rng(seed)
     where = np.asarray(where, dtype=np.int64)
     initial_cut = edge_cut(graph, where)
@@ -277,12 +269,11 @@ def kway_refine(
     if not state.feasible():
         balance_moves += balance_kway_state(state)
 
-    sweep = _greedy_pass if policy == "greedy" else _priority_pass
     total_moves = 0
     passes = 0
     for _ in range(npasses):
         passes += 1
-        moved = sweep(state, rng)
+        moved = _greedy_pass(state, rng)
         total_moves += moved
         if not state.feasible():
             balance_moves += balance_kway_state(state)
@@ -377,82 +368,6 @@ def _greedy_pass(state: KWayState, rng) -> int:
             moves += 1
             for i in range(xadj[v], xadj[v + 1]):
                 dirty[adj[i]] = True
-    return moves
-
-
-def _best_move_for(state: KWayState, v: int):
-    """Best admissible move of ``v`` under the refinement rules, or
-    ``(-1, 0, 0.0)``.  Returns ``(dest, gain, balance_delta)``."""
-    s = state._wh[v]
-    if state._counts[s] <= 1:
-        return -1, 0, 0.0
-    nbw = state.neighbor_weights(v)
-    w_in = nbw.get(s, 0)
-    best = (-1, 0, 0.0)
-    best_key = None
-    for d, wd in nbw.items():
-        if d == s:
-            continue
-        gain = wd - w_in
-        if gain < 0 or not state.dest_fits(v, d):
-            continue
-        bal = state.balance_delta(v, d)
-        if gain == 0 and bal >= -_EPS:
-            continue
-        key = (gain, -bal)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (d, gain, bal)
-    return best
-
-
-def _priority_pass(state: KWayState, rng) -> int:
-    """One gain-ordered sweep: pop the boundary vertex with the highest
-    *potential* gain, re-evaluate its best admissible move (gains go stale
-    as neighbours move), and commit it; each vertex moves at most once per
-    pass."""
-    from .pq import LazyMaxPQ
-
-    bnd = state.boundary()
-    if bnd.size == 0:
-        return 0
-    g = state.graph
-    wh = state._wh
-    q = LazyMaxPQ()
-    jitter = rng.random(g.nvtxs) * 1e-6  # randomised tie-breaks
-    for v in bnd.tolist():
-        nbw = state.neighbor_weights(v)
-        w_in = nbw.get(wh[v], 0)
-        ext = max((wd for d, wd in nbw.items() if d != wh[v]), default=0)
-        q.insert(v, ext - w_in + jitter[v])
-
-    moved_flag = [False] * g.nvtxs
-    moves = 0
-    adj = state._adj
-    while True:
-        top = q.pop()
-        if top is None:
-            break
-        v, _ = top
-        if moved_flag[v]:
-            continue
-        d, gain, bal = _best_move_for(state, v)
-        if d < 0:
-            continue
-        state.move(v, d)
-        moved_flag[v] = True
-        moves += 1
-        for i in range(state._xadj[v], state._xadj[v + 1]):
-            u = adj[i]
-            if moved_flag[u]:
-                continue
-            nbw = state.neighbor_weights(u)
-            w_in = nbw.get(wh[u], 0)
-            ext = max((wd for p, wd in nbw.items() if p != wh[u]), default=None)
-            if ext is None:
-                q.remove(u)
-            else:
-                q.insert(u, ext - w_in + jitter[u])
     return moves
 
 

@@ -42,9 +42,6 @@ class CacheEntry:
     key: RequestKey
     result: PartitionResult = field(repr=False)
     nbytes: int
-    #: ``"cold"`` for a from-scratch compute, ``"warm"`` for a warm-start
-    #: result (only present when the service caches those).
-    source: str = "cold"
     #: Canonicalised target fractions of the original request (``None`` for
     #: uniform parts) -- the background improver needs them to rebuild the
     #: request key at a different effort level.
@@ -110,8 +107,8 @@ class ResultCache:
         entry.hits += 1
         return entry.export()
 
-    def put(self, key: RequestKey, result: PartitionResult,
-            source: str = "cold", *, target_fracs=None) -> bool:
+    def put(self, key: RequestKey, result: PartitionResult, *,
+            target_fracs=None) -> bool:
         """Store a snapshot of ``result`` under ``key``; returns whether it
         was admitted (uncacheable keys and oversized results are not)."""
         if not key.cacheable or self.max_entries <= 0:
@@ -128,8 +125,7 @@ class ResultCache:
         if old is not None:
             self._bytes -= old.nbytes
         self._entries[key.digest] = CacheEntry(
-            key=key, result=frozen, nbytes=nbytes, source=source,
-            target_fracs=target_fracs)
+            key=key, result=frozen, nbytes=nbytes, target_fracs=target_fracs)
         self._bytes += nbytes
         self.stores += 1
         self._evict()
@@ -142,14 +138,14 @@ class ResultCache:
         real traffic produces."""
         return self._entries.get(digest)
 
-    def hottest(self, limit: int = 8, *, min_hits: int = 1,
-                source: str = "cold") -> list[CacheEntry]:
-        """The ``limit`` most-hit entries of the given ``source`` with at
-        least ``min_hits`` exact-key hits, hotness-descending (recency
-        breaks ties).  This is the background improver's work queue; LRU
-        positions are not refreshed."""
+    def hottest(self, limit: int = 8, *,
+                min_hits: int = 1) -> list[CacheEntry]:
+        """The ``limit`` most-hit entries with at least ``min_hits``
+        exact-key hits, hotness-descending (recency breaks ties).  This is
+        the background improver's work queue; LRU positions are not
+        refreshed."""
         ranked = [e for e in reversed(self._entries.values())
-                  if e.source == source and e.hits >= min_hits]
+                  if e.hits >= min_hits]
         ranked.sort(key=lambda e: e.hits, reverse=True)
         return ranked[:limit]
 
@@ -168,9 +164,9 @@ class ResultCache:
     # -------------------------------------------------- warm-start index
 
     def find_warm(self, key: RequestKey) -> CacheEntry | None:
-        """Best warm-start source for a *missed* key: a cold-computed entry
-        on the same topology (``topo_digest``) with the same method and
-        constraint count.  Prefers matching ``nparts``, then recency."""
+        """Best warm-start source for a *missed* key: an entry on the same
+        topology (``topo_digest``) with the same method and constraint
+        count.  Prefers matching ``nparts``, then recency."""
         if not key.cacheable:
             return None
         best: CacheEntry | None = None
@@ -179,8 +175,7 @@ class ResultCache:
         for entry in reversed(self._entries.values()):
             k = entry.key
             if (k.topo_digest != key.topo_digest or k.method != key.method
-                    or k.ncon != key.ncon or entry.source != "cold"
-                    or k.digest == key.digest):
+                    or k.ncon != key.ncon or k.digest == key.digest):
                 continue
             if k.nparts == key.nparts:
                 return entry

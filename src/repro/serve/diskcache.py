@@ -231,7 +231,9 @@ class DiskCache:
         if part.ndim != 1 or imbalance.shape != (int(meta["ncon"]),):
             raise ValueError("disk-cache entry has malformed arrays")
         # Fields outside OPTION_FIELDS are options an older version wrote
-        # and has since removed; none of them was ever part of the digest.
+        # and has since removed; dropping them is safe.  An entry whose
+        # digest hashed a removed field is never requested again, so it is
+        # unreachable rather than wrong.
         opts = meta.get("options")
         options = PartitionOptions(**{k: tuple(v) if isinstance(v, list)
                                       else v for k, v in opts.items()

@@ -40,7 +40,10 @@ __all__ = ["RequestKey", "request_key", "SEMANTIC_OPTION_FIELDS"]
 #: PartitionOptions fields that change the returned partition.  Everything
 #: except ``collect_stats`` (observability-only).  ``seed`` is handled
 #: separately through :func:`repro._rng.canonical_seed`, and ``ubvec`` is
-#: hashed as its canonical per-constraint array.
+#: hashed as its canonical per-constraint array.  Removing a name here
+#: (as happens when an option is retired) changes every digest once;
+#: entries stored under the old digests become unreachable and age out
+#: of the disk cache's byte budget.
 SEMANTIC_OPTION_FIELDS = (
     "matching",
     "coarsen_to",
@@ -54,9 +57,6 @@ SEMANTIC_OPTION_FIELDS = (
     "strict_ntries",
     "refine_passes",
     "kway_refine_passes",
-    "rb_multilevel",
-    "final_balance",
-    "kway_policy",
     "effort",
     "vcycle_max",
     "vcycle_patience",

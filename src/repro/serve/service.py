@@ -94,13 +94,6 @@ class ServiceConfig:
         Coalesce identical in-flight requests onto one compute.
     warm_start:
         Try seeding from a same-topology cached partition on exact misses.
-    warm_cut_factor:
-        Accept a warm result only if its cut is within this factor of the
-        cached seed partition's cut on the new graph (and feasible).
-    cache_warm_results:
-        Store warm-start results under the request key.  Off by default:
-        the cache then only ever holds cold computes, keeping the
-        "hit == cold compute, bit for bit" invariant unconditional.
     max_pending:
         Admission bound on queued-but-not-started computes; ``None``
         (default) disables load shedding.  See
@@ -130,8 +123,6 @@ class ServiceConfig:
     disk_cache_bytes: int = 256 << 20
     dedup: bool = True
     warm_start: bool = True
-    warm_cut_factor: float = 1.5
-    cache_warm_results: bool = False
     max_pending: int | None = None
     batch_shed_fraction: float = 0.5
     default_timeout: float | None = None
@@ -289,7 +280,7 @@ class PartitionService:
             stored = self.disk.get(key)
             if stored is not None:
                 with self._lock:
-                    self.cache.put(key, stored, source="cold",  # promote
+                    self.cache.put(key, stored,  # promote
                                    target_fracs=target_fracs)
                     self._mirror_cache_counters()
                     self._observe_latency("disk",
@@ -555,10 +546,8 @@ class PartitionService:
                 if warm_src is not None:
                     with self._lock:
                         self._incr("serve.warm_start.attempts")
-                    result = warm_start(
-                        graph, nparts, options, warm_src,
-                        warm_cut_factor=self.config.warm_cut_factor,
-                        tracer=rtracer)
+                    result = warm_start(graph, nparts, options, warm_src,
+                                        tracer=rtracer)
                     with self._lock:
                         self._incr("serve.warm_start.accepted"
                                    if result is not None
@@ -577,14 +566,13 @@ class PartitionService:
                     cold_span.set(cut=result.edgecut)
                     cold_span.__exit__(None, None, None)
 
-            persist = source == "cold" or self.config.cache_warm_results
-            if persist and self.disk is not None and key.cacheable:
+            # Only cold computes are cached: a hit must equal a cold compute.
+            if source == "cold" and self.disk is not None and key.cacheable:
                 # Disk IO stays outside the admission lock.
                 self.disk.put(key, result)
             with self._lock:
-                if persist:
-                    self.cache.put(key, result, source=source,
-                                   target_fracs=target_fracs)
+                if source == "cold":
+                    self.cache.put(key, result, target_fracs=target_fracs)
                 self._mirror_cache_counters()
                 self._observe_latency(source, time.perf_counter() - t0)
                 if span is not None:

@@ -10,15 +10,15 @@ run.
 Contract (documented in ``docs/serving.md``):
 
 * the warm result is **accepted** only if it is feasible under the new
-  request's ``ubvec`` AND its cut is at most ``warm_cut_factor`` times the
-  cut of the cached partition evaluated on the new request's graph (the
-  baseline the refiner started from -- rebalancing under drifted weights
-  may raise the cut a little, but a blow-up means the old solution was a
-  bad seed and the service falls back to cold compute);
-* a warm result is **never** stored in the cache under the request's exact
-  key unless the service is explicitly configured to
-  (``cache_warm_results``), because the cache's headline invariant is
-  "a hit is bit-identical to a cold compute of the same request";
+  request's ``ubvec`` AND its cut is at most :data:`WARM_CUT_FACTOR`
+  (1.5) times the cut of the cached partition evaluated on the new
+  request's graph (the baseline the refiner started from -- rebalancing
+  under drifted weights may raise the cut a little, but a blow-up means
+  the old solution was a bad seed and the service falls back to cold
+  compute);
+* a warm result is **never** stored in the cache, because the cache's
+  headline invariant is "a hit is bit-identical to a cold compute of the
+  same request";
 * when the cached source has a different ``nparts``, part ids are folded
   modulo the requested ``nparts`` -- crude, but only the *seeding* needs to
   be legal; balancing and refinement do the rest.  Folding **up** (source
@@ -41,7 +41,11 @@ from ..partition.config import PartitionOptions
 from ..refine.gain import edge_cut
 from .cache import CacheEntry
 
-__all__ = ["warm_start"]
+__all__ = ["warm_start", "WARM_CUT_FACTOR"]
+
+#: A warm result is accepted only if its cut is at most this factor times
+#: the cut of the cached seed partition on the new graph.
+WARM_CUT_FACTOR = 1.5
 
 
 def _repair_empty_parts(graph: Graph, part: np.ndarray,
@@ -88,7 +92,6 @@ def warm_start(
     options: PartitionOptions,
     source: CacheEntry,
     *,
-    warm_cut_factor: float = 1.5,
     tracer=None,
 ) -> PartitionResult | None:
     """Attempt a warm-started partition from ``source``; ``None`` on reject.
@@ -119,7 +122,7 @@ def warm_start(
             npasses=options.kway_refine_passes,
             seed=options.seed,
         )
-        accepted = rep.feasible and rep.edgecut <= warm_cut_factor * max(
+        accepted = rep.feasible and rep.edgecut <= WARM_CUT_FACTOR * max(
             baseline_cut, 1)
         if span is not None:
             span.set(accepted=accepted, cut=int(rep.edgecut),

@@ -288,8 +288,7 @@ def chaos_opts():
     # kway_coarsen_factor=5 so the 120-vertex graph really coarsens
     # (exercising the coarsen/refine retry loops, not just initpart).
     return PartitionOptions(seed=5, kway_refine_passes=2, init_ntries=1,
-                            rb_multilevel=False, coarsen_to=40,
-                            kway_coarsen_factor=5)
+                            coarsen_to=40, kway_coarsen_factor=5)
 
 
 class TestDriverHardening:

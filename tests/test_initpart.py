@@ -274,6 +274,34 @@ class TestOptimizedParity:
                 gggp_bisection(g, target, seed=7),
                 _reference_gggp_bisection(g, target, seed=7))
 
+    def _relw_corpus(self):
+        for n in (40, 300):
+            for m in (1, 2, 3, 4):
+                yield _relw(n, m, seed=10 * n + m)
+
+    def test_greedy_matches_reference(self):
+        from repro.initpart.theory import _reference_greedy_bisection
+
+        for relw in self._relw_corpus():
+            for target in (0.5, 0.3):
+                for seed in range(5):
+                    assert np.array_equal(
+                        greedy_bisection(relw, target, seed=seed),
+                        _reference_greedy_bisection(relw, target, seed=seed))
+
+    def test_best_projection_matches_reference(self):
+        from repro.initpart.theory import \
+            _reference_best_projection_bisection
+
+        for relw in self._relw_corpus():
+            for target in (0.5, 0.3):
+                for seed in range(5):
+                    assert np.array_equal(
+                        best_projection_bisection(relw, target=target,
+                                                  seed=seed),
+                        _reference_best_projection_bisection(
+                            relw, target=target, seed=seed))
+
     def test_strict_matches_reference_multistart(self):
         """``strict=True`` replays the legacy exhaustive loop exactly."""
         from repro.initpart.bisect import _reference_initial_bisection
@@ -318,6 +346,7 @@ class TestInitOptionsFrontDoor:
             PartitionOptions(init_methods=("greedy", "prefx"))
 
     def test_negative_knobs_rejected(self):
+        from repro.errors import OptionsError
         from repro.partition import PartitionOptions, part_graph
 
         with pytest.raises(PartitionError):
@@ -331,6 +360,14 @@ class TestInitOptionsFrontDoor:
             part_graph(g, 4, init_workers=2)
         with pytest.raises(PartitionError, match="init_workers"):
             PartitionOptions().with_(init_workers=2)
+        # Retired options: both front doors reject them as unknown.
+        for name, value in (("kway_policy", "priority"),
+                            ("final_balance", False),
+                            ("rb_multilevel", False)):
+            with pytest.raises(OptionsError, match=name):
+                part_graph(g, 4, **{name: value})
+            with pytest.raises(OptionsError, match=name):
+                PartitionOptions().with_(**{name: value})
 
     def test_cli_flags_reach_options(self):
         from repro.cli import build_parser

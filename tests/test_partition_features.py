@@ -1,15 +1,13 @@
-"""Tests for the newer driver features: non-uniform target fractions,
-multilevel instrumentation, and the priority k-way refinement policy."""
+"""Tests for the newer driver features: non-uniform target fractions and
+multilevel instrumentation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import BalanceError, PartitionError
-from repro.graph import mesh_like
-from repro.partition import PartitionOptions, part_graph
-from repro.refine import kway_refine
+from repro.errors import BalanceError
+from repro.partition import part_graph
 from repro.weights import part_weights, type1_region_weights
 
 
@@ -70,37 +68,3 @@ class TestCollectStats:
 
     def test_default_off(self, mesh500):
         assert part_graph(mesh500, 2, seed=6).stats is None
-
-
-class TestKwayPolicy:
-    def test_priority_policy_runs(self, mesh2000):
-        res = part_graph(mesh2000, 8, seed=7, kway_policy="priority")
-        assert res.feasible
-
-    def test_priority_at_least_as_good_from_same_start(self, mesh2000):
-        rng = np.random.default_rng(8)
-        base = (np.arange(2000) % 8).astype(np.int64)
-        rng.shuffle(base)
-        a, b = base.copy(), base.copy()
-        sg = kway_refine(mesh2000, a, 8, policy="greedy", seed=9)
-        sp = kway_refine(mesh2000, b, 8, policy="priority", seed=9)
-        assert sp.final_cut <= 1.15 * sg.final_cut
-
-    def test_each_vertex_moves_at_most_once_per_pass(self, mesh500):
-        # One pass from a 2-coloured start cannot oscillate: cut must not
-        # increase.
-        from repro.metrics import edge_cut
-
-        rng = np.random.default_rng(10)
-        where = rng.integers(0, 4, 500)
-        cut0 = edge_cut(mesh500, where)
-        st = kway_refine(mesh500, where, 4, policy="priority",
-                         npasses=1, seed=11)
-        assert st.final_cut <= cut0
-
-    def test_invalid_policy_rejected(self, mesh500):
-        with pytest.raises(PartitionError):
-            kway_refine(mesh500, np.zeros(500, dtype=np.int64), 1,
-                        policy="bogus")
-        with pytest.raises(PartitionError):
-            PartitionOptions(kway_policy="bogus")

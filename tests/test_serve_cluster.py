@@ -326,6 +326,33 @@ class TestServiceShedding:
 class TestClassDeadlines:
     def test_batch_timeout_config_applies_per_class(self, monkeypatch):
         g = make_graph(100, 1)
+        # Deadline precedence for both classes: an explicit timeout= wins,
+        # then the class's own timeout, then default_timeout.
+        levels = [
+            ({}, {"interactive": None, "batch": None}),
+            ({"default_timeout": 7.0}, {"interactive": 7.0, "batch": 7.0}),
+            ({"default_timeout": 7.0, "interactive_timeout": 3.0},
+             {"interactive": 3.0, "batch": 7.0}),
+            ({"default_timeout": 7.0, "batch_timeout": 5.0},
+             {"interactive": 7.0, "batch": 5.0}),
+        ]
+        for extra, expected in levels:
+            cfg = ServiceConfig(warm_start=False, **extra)
+            with PartitionService(cfg) as svc:
+                svc.partition(g, 2, seed=0)  # later submits are cache hits
+                for klass, class_default in expected.items():
+                    for explicit in (None, 11.0):
+                        want = class_default if explicit is None else explicit
+                        t0 = time.monotonic()
+                        fut = svc.submit(g, 2, seed=0, klass=klass,
+                                         timeout=explicit)
+                        if want is None:
+                            assert fut._deadline is None, (extra, klass)
+                        else:
+                            assert fut._deadline - t0 == pytest.approx(
+                                want, abs=1.0), (extra, klass, explicit)
+                        assert fut.result().nparts == 2
+
         real = service_mod.part_graph
 
         def slow(*args, **kwargs):
