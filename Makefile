@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test bench bench-smoke bench-initpart-ablation docs-check chaos-smoke serve-smoke serve-cluster-smoke parallel-shm-smoke obs-smoke vcycle-smoke perfbench-smoke examples smoke all clean
+.PHONY: install test bench bench-smoke kernels-smoke bench-initpart-ablation docs-check chaos-smoke serve-smoke serve-cluster-smoke parallel-shm-smoke obs-smoke vcycle-smoke perfbench-smoke examples smoke all clean
 
 install:
 	pip install -e .
@@ -25,6 +25,12 @@ bench:
 bench-smoke:
 	PYTHONPATH=src python benchmarks/perf_guard.py --smoke
 	PYTHONPATH=src python benchmarks/perf_guard.py --check --max-init-fraction 0.95
+
+# K1 micro-kernels run once each (no timing loops) plus the kernel parity
+# suite: every bulk kernel equals its per-vertex oracle in tests/oracles.py.
+kernels-smoke:
+	PYTHONPATH=src python -m pytest benchmarks/bench_micro_kernels.py --benchmark-disable -q
+	PYTHONPATH=src python -m pytest tests/test_perf_kernels.py -q
 
 # Initial-bisection ablation with a machine-readable JSON artifact
 # (benchmarks/results/BENCH_initpart_ablation.json, uploaded by CI).

@@ -13,7 +13,7 @@ import pytest
 
 from _util import get_graph
 
-from repro.coarsen import heavy_edge_matching, matching_to_cmap
+from repro.coarsen import balanced_edge_matching, heavy_edge_matching, matching_to_cmap
 from repro.graph import contract
 from repro.refine import compute_2way_degrees, edge_cut
 from repro.weights import part_weights, type1_region_weights
@@ -40,6 +40,15 @@ def cmap_pair(g):
 def test_kernel_matching(benchmark, g):
     out = benchmark(heavy_edge_matching, g, 2)
     assert out.shape == (g.nvtxs,)
+
+
+# Unit-weight m=1 matching never reads a balanced-edge score; the Type-1
+# m=3 graph is the path coarsening takes on multi-constraint inputs.
+@pytest.mark.parametrize("matcher", [heavy_edge_matching, balanced_edge_matching],
+                         ids=["hem", "bem"])
+def test_kernel_matching_m3(benchmark, gw, matcher):
+    out = benchmark(matcher, gw, 2)
+    assert out.shape == (gw.nvtxs,)
 
 
 def test_kernel_contract(benchmark, g, cmap_pair):

@@ -12,7 +12,9 @@ Given a coarse map ``cmap`` (``cmap[v]`` = coarse vertex id of fine vertex
 
 The implementation is fully vectorised: it maps all directed edges at once,
 drops the ones that became self-loops, and merges parallel edges with one
-stable argsort + ``np.add.reduceat`` segment sum (exact int64 arithmetic).
+stable argsort + ``np.add.reduceat`` segment sum (exact int64 arithmetic);
+the per-group sums (vertex weights, coarse degrees, coordinate centroids)
+are ``np.bincount`` calls.
 
 Validation audit: contraction builds the coarse CSR arrays sorted and
 symmetric *by construction* (every directed fine edge is mapped, so both
@@ -107,14 +109,15 @@ def contract(graph: Graph, cmap, ncoarse: int | None = None, *, validate: bool =
     # uniq is sorted by key = cu * ncoarse + cv, i.e. grouped by cu with cv
     # ascending inside each group -- exactly CSR order.
     cxadj = np.zeros(ncoarse + 1, dtype=_INT)
-    np.add.at(cxadj, cu + 1, 1)
-    np.cumsum(cxadj, out=cxadj)
+    np.cumsum(np.bincount(cu, minlength=ncoarse), out=cxadj[1:])
 
     coarse = Graph(cxadj, cv, cvwgt, cw, validate=validate)
     if graph.coords is not None:
         # Coarse coordinates: unweighted centroid of each group (cosmetic,
         # used only for visual tooling).
+        # ``bincount`` adds up each group in fine-vertex order.
         csum = np.zeros((ncoarse, graph.coords.shape[1]))
-        np.add.at(csum, cmap, graph.coords)
+        for c in range(csum.shape[1]):
+            csum[:, c] = np.bincount(cmap, weights=graph.coords[:, c], minlength=ncoarse)
         coarse.coords = csum / used[:, None]
     return coarse

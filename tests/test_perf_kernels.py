@@ -2,9 +2,12 @@
 kernels (PR 2).
 
 Every optimized kernel is pinned against the pre-existing per-vertex
-implementation, kept in-tree as a ``_reference_*`` oracle:
+implementation, kept as a ``_reference_*`` oracle (the matching ones in
+``tests/oracles.py``):
 
-* bulk greedy matchers (HEM/BEM) vs :func:`_reference_greedy_matching`;
+* the round-synchronous HEM/BEM kernel vs :func:`_reference_greedy_matching`
+  (with and without partition labels, down a match->contract chain, and on
+  a BEM near-tie that needs the scalar tolerance pick);
 * :func:`random_matching` vs :func:`_reference_random_matching`;
 * vectorised :meth:`TwoWayState.build_queues` vs the per-vertex oracle
   (identical pop sequences);
@@ -17,14 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.coarsen.matching import (
-    _balance_score,
     _edge_balance_scores,
-    _greedy_matching,
-    _reference_greedy_matching,
-    _reference_random_matching,
+    balanced_edge_matching,
     fast_heavy_edge_matching,
+    heavy_edge_matching,
     is_matching,
     matching_to_cmap,
     random_matching,
@@ -34,6 +37,12 @@ from repro.graph import Graph, contract, from_edges, mesh_like
 from repro.refine.fm2way import TwoWayState
 from repro.refine.gain import compute_2way_degrees, edge_cut, kway_degrees
 from repro.refine.kwayref import KWayState
+from repro.weights import type1_region_weights
+from tests.oracles import (
+    _balance_score,
+    _reference_greedy_matching,
+    _reference_random_matching,
+)
 
 SEEDS = [0, 7, 42]
 
@@ -71,25 +80,114 @@ def _graphs():
 # Matching kernels
 # --------------------------------------------------------------------- #
 
+GREEDY = {"heavy": heavy_edge_matching, "balanced": balanced_edge_matching}
+
+
+def _parity_graphs():
+    """Seeded graphs for the HEM/BEM parity sweep: weighted and unit edge
+    weights, m = 1-4, a constraint column summing to 0 (so some edges
+    have a combined weight sum of 0), isolated vertices, and the empty and
+    edgeless graphs."""
+    out = list(_graphs())
+    for seed in range(24):
+        m = 1 + seed % 4
+        out.append(_rand_graph(20 + 11 * seed, 3 * seed, seed=100 + seed, m=m,
+                               weighted=seed % 2 == 0))
+    g = _rand_graph(90, 150, seed=7, m=3)
+    vw = g.vwgt.copy()
+    vw[:, 1] = 0
+    vw[::3] = 0
+    out.append(g.with_vwgt(vw))
+    # Vertices 7 and 8 have no edges.
+    edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3], [3, 4], [5, 6]])
+    out.append(from_edges(9, edges, np.array([2, 1, 2, 3, 1, 1])))
+    out.append(from_edges(0, np.empty((0, 2), dtype=np.int64)))
+    out.append(from_edges(6, np.empty((0, 2), dtype=np.int64)))
+    return out
+
+
 @pytest.mark.parametrize("primary", ["heavy", "balanced"])
 def test_greedy_matching_parity(primary):
-    for g in _graphs():
+    for i, g in enumerate(_parity_graphs()):
+        labels = np.random.default_rng(i).integers(0, 3, size=g.nvtxs)
         for seed in SEEDS:
-            got = _greedy_matching(g, seed, None, primary)
-            want = _reference_greedy_matching(g, seed, None, primary)
-            assert np.array_equal(got, want)
-            assert is_matching(g, got)
+            for con in (None, labels):
+                got = GREEDY[primary](g, seed, constraint=con)
+                want = _reference_greedy_matching(g, seed, None, primary,
+                                                  constraint=con)
+                assert np.array_equal(got, want)
+                assert is_matching(g, got)
+                if con is not None:
+                    assert np.array_equal(con[got], con)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(0, 60), extra=st.integers(0, 150), m=st.integers(1, 4),
+       weighted=st.booleans(), labelled=st.booleans(),
+       seed=st.integers(0, 2**31 - 1))
+def test_greedy_matching_parity_fuzz(n, extra, m, weighted, labelled, seed):
+    rng = np.random.default_rng(seed)
+    edges = {(min(u, v), max(u, v))
+             for u, v in rng.integers(0, max(n, 1), size=(extra, 2)).tolist()
+             if u != v}
+    edges = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    w = rng.integers(1, 4, size=len(edges)) if weighted else None
+    g = from_edges(n, edges, w).with_vwgt(rng.integers(0, 4, size=(n, m)))
+    con = rng.integers(0, 2, size=n) if labelled else None
+    for primary, matcher in GREEDY.items():
+        got = matcher(g, seed, constraint=con)
+        want = _reference_greedy_matching(g, seed, None, primary, constraint=con)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("primary", ["heavy", "balanced"])
+def test_greedy_matching_parity_down_a_hierarchy(primary):
+    # Three match -> contract levels of a Type-1 m=3 mesh: coarse graphs
+    # carry summed vertex and edge weights, unlike the unit-weight inputs.
+    g = mesh_like(1500, seed=4)
+    g = g.with_vwgt(type1_region_weights(g, 3, seed=2))
+    t = g.vwgt.sum(axis=0).astype(np.float64)
+    for level in range(3):
+        relw = g.vwgt / t
+        got = GREEDY[primary](g, level, relw=relw)
+        want = _reference_greedy_matching(g, level, relw, primary)
+        assert np.array_equal(got, want)
+        g = contract(g, *matching_to_cmap(got))
+    assert g.adjwgt.max() > 1
+
+
+def test_bem_near_tie_uses_the_tolerance_scan():
+    # Vertex 0's neighbours 1, 2, 3 score 1.0, 1.0 + 7e-13 and 1.0 + 1.4e-12:
+    # each is within BEM's 1e-12 of the next but 3 is not within it of 1,
+    # so the scan's comparisons are not transitive.  Seen whole, the scan
+    # walks 1 -> 2 (heavier) -> 3 (heavier); once 4 has taken 2 it keeps 1.
+    g = from_edges(5, np.array([[0, 1], [0, 2], [0, 3], [2, 4]]),
+                   np.array([1, 2, 3, 1])).with_vwgt(np.ones((5, 2), dtype=np.int64))
+    d = 0.175e-12
+    relw = np.array([[0.0, 0.0], [0.75, 0.25], [0.75 + d, 0.25 - d],
+                     [0.75 + 2 * d, 0.25 - 2 * d], [0.5, 0.5]])
+    partners = set()
+    for seed in range(20):
+        got = balanced_edge_matching(g, seed, relw=relw)
+        assert np.array_equal(got, _reference_greedy_matching(g, seed, relw, "balanced"))
+        partners.add(int(got[0]))
+    # Both outcomes occur: 0 visited first takes 3 (a lexicographic pick
+    # would take 1); 4 visited before 0 takes 2 first, and 0 then takes 1.
+    assert partners == {1, 3}
 
 
 def test_edge_balance_scores_match_scalar():
-    g = _rand_graph(50, 120, seed=2, m=3)
-    t = g.vwgt.sum(axis=0, dtype=np.float64)
-    t[t == 0] = 1.0
-    relw = g.vwgt / t
-    scores = _edge_balance_scores(g, relw)
-    src = np.repeat(np.arange(g.nvtxs), np.diff(g.xadj))
-    for i in range(g.adjncy.shape[0]):
-        assert scores[i] == _balance_score(relw[src[i]] + relw[g.adjncy[i]])
+    # numpy sums a row left to right below 8 components and pairwise from 8.
+    for m in (1, 2, 3, 7, 8, 9, 16):
+        g = _rand_graph(50, 120, seed=2, m=m)
+        t = g.vwgt.sum(axis=0, dtype=np.float64)
+        t[t == 0] = 1.0
+        relw = g.vwgt / t
+        scores = _edge_balance_scores(g, relw)
+        src = np.repeat(np.arange(g.nvtxs), np.diff(g.xadj))
+        for i in range(g.adjncy.shape[0]):
+            assert scores[i] == _balance_score(relw[src[i]] + relw[g.adjncy[i]]), m
 
 
 def test_random_matching_parity():
@@ -262,3 +360,16 @@ def test_validate_composite_key_symmetry_check():
     bad[0] += 1
     with pytest.raises(Exception):
         Graph(g.xadj, g.adjncy, g.vwgt, bad)
+
+
+def test_contract_coords_match_scatter():
+    # Coarse centroids equal an np.add.at scatter bit for bit: both sum
+    # every group in fine-vertex order.
+    g = mesh_like(600, seed=5)
+    assert g.coords is not None
+    g.coords = g.coords * np.pi + 1e-3  # inexact sums exercise the order
+    cmap, nc = matching_to_cmap(heavy_edge_matching(g, 3))
+    coarse = contract(g, cmap, nc)
+    csum = np.zeros((nc, g.coords.shape[1]))
+    np.add.at(csum, cmap, g.coords)
+    assert np.array_equal(coarse.coords, csum / np.bincount(cmap)[:, None])
