@@ -62,12 +62,12 @@ def _sweep():
 
 
 def _patience_sweep():
-    """Early-stop ablation: plateau patience vs. exhaustive legacy mode."""
+    """Early-stop ablation: plateau patience vs. no early stop."""
     g = type1_graph(GRAPH, M)
     coarsest = coarsen(g, coarsen_to=100, seed=SEED).coarsest
     records = []
     for label, kwargs in (
-        ("strict (no early-stop)", {"strict": True}),
+        ("patience=0 (no early stop)", {"patience": 0}),
         ("patience=2", {"patience": 2}),
         ("patience=6 (default)", {"patience": 6}),
         ("patience=12", {"patience": 12}),
@@ -142,7 +142,7 @@ def main(argv=None):
         fh.write("\n")
     print(f"ablation JSON -> {args.out}")
     for rec in patience:
-        print(f"  {rec['config']:<24} cut={rec['cut']:<6} "
+        print(f"  {rec['config']:<26} cut={rec['cut']:<6} "
               f"imb={rec['imbalance']:.3f}  {rec['seconds']:.2f}s")
 
 

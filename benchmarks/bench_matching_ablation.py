@@ -17,7 +17,7 @@ GRAPH = "sm2"
 K = 16
 M = 3
 SEED = 6
-SCHEMES = ("rm", "hem", "bem", "fhem")
+SCHEMES = ("rm", "hem", "bem")
 
 
 def _sweep():

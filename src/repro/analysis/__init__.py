@@ -1,23 +1,17 @@
-"""Multilevel diagnostics: coarsening profiles, matching efficiency,
-partition anatomy -- fed either from a :class:`~repro.coarsen.Hierarchy`
-or from a traced run's :class:`repro.trace.TraceReport`."""
+"""Multilevel diagnostics: coarsening profiles of a
+:class:`~repro.coarsen.Hierarchy`, matching efficiency, partition
+anatomy.  Per-level profiles of a traced run live in :mod:`repro.obs`."""
 
 from .diagnostics import (
     coarsening_profile,
-    coarsening_profile_from_trace,
     matching_efficiency,
     partition_anatomy,
     profile_text,
-    refinement_profile,
-    refinement_profile_text,
 )
 
 __all__ = [
     "coarsening_profile",
-    "coarsening_profile_from_trace",
     "matching_efficiency",
     "partition_anatomy",
     "profile_text",
-    "refinement_profile",
-    "refinement_profile_text",
 ]

@@ -5,12 +5,11 @@ coarsening rate, exposed edge weight per level (what heavy-edge matching
 removes), matching efficiency, and the per-part anatomy of a partition.
 They feed the ablation benches and the analysis example.
 
-Two input paths share one data model: :func:`coarsening_profile` walks a
-:class:`~repro.coarsen.coarsener.Hierarchy` directly, while
-:func:`coarsening_profile_from_trace` / :func:`refinement_profile` read the
-same per-level rows out of a live run's :class:`repro.trace.TraceReport` --
-so offline studies and production traces feed the same tables
-(:func:`profile_text`).
+:func:`coarsening_profile` walks a
+:class:`~repro.coarsen.coarsener.Hierarchy` built offline.  The per-level
+rows of a live run come from its trace instead: ``obs.FlightRecorder`` ->
+:class:`~repro.obs.MultilevelProfile` -> :func:`~repro.obs.render_profile`
+(``repro-part --profile``).
 """
 
 from __future__ import annotations
@@ -25,12 +24,9 @@ from ..weights.balance import part_weights
 
 __all__ = [
     "coarsening_profile",
-    "coarsening_profile_from_trace",
     "matching_efficiency",
     "partition_anatomy",
     "profile_text",
-    "refinement_profile",
-    "refinement_profile_text",
 ]
 
 
@@ -60,98 +56,6 @@ def coarsening_profile(hier: Hierarchy) -> list[dict]:
         })
         prev_n = n
     return out
-
-
-def coarsening_profile_from_trace(report) -> list[dict]:
-    """:func:`coarsening_profile` rows rebuilt from a run's trace.
-
-    ``report`` is a :class:`repro.trace.TraceReport` from a traced run
-    (``collect_stats=True`` / ``tracer=`` / a loaded JSONL file); the rows
-    come from the ``coarsen_level`` spans, so live runs need no separate
-    :func:`repro.coarsen.coarsen` call to get the profile.
-    """
-    coarsen = report.phase("coarsen")
-    if coarsen is None:
-        return []
-    spans = coarsen.find_all("coarsen_level")
-    out = []
-    prev_n = None
-    for sp in spans:
-        a = sp.attrs
-        if "coarse_nvtxs" not in a:  # stalled attempt, no contraction
-            continue
-        n = a["nvtxs"]
-        out.append({
-            "level": len(out),
-            "nvtxs": n,
-            "nedges": a["nedges"],
-            "avg_degree": (2 * a["nedges"] / n) if n else 0.0,
-            "exposed_edge_weight": a["exposed_edge_weight"],
-            "shrink": (n / prev_n) if prev_n else 1.0,
-            "max_vwgt": a["max_vwgt"],
-            "seconds": sp.seconds,
-        })
-        prev_n = n
-    if out:
-        last = spans[-1].attrs  # the coarsest graph, from the final step
-        n = last["coarse_nvtxs"]
-        out.append({
-            "level": len(out),
-            "nvtxs": n,
-            "nedges": last["coarse_nedges"],
-            "avg_degree": (2 * last["coarse_nedges"] / n) if n else 0.0,
-            "exposed_edge_weight": last["coarse_exposed_edge_weight"],
-            "shrink": (n / prev_n) if prev_n else 1.0,
-            "max_vwgt": last["coarse_max_vwgt"],
-            "seconds": None,
-        })
-    return out
-
-
-def refinement_profile(report) -> list[dict]:
-    """Per-level uncoarsening/refinement rows from a traced k-way run.
-
-    Each row is one projection step (coarse → fine): level size, cut,
-    moves/passes committed by the k-way refiner, imbalance after the step,
-    and the step's wall time.
-    """
-    return [
-        {
-            "level": i,
-            "nvtxs": t.get("nvtxs"),
-            "cut": t.get("cut"),
-            "moves": t.get("moves"),
-            "passes": t.get("passes"),
-            "imbalance": t.get("imbalance"),
-            "seconds": sp.seconds,
-        }
-        for i, (t, sp) in enumerate(_level_rows(report))
-    ]
-
-
-def _level_rows(report):
-    refine = report.phase("refine")
-    if refine is None:
-        return []
-    spans = [sp for sp in refine.children if sp.name == "level"]
-    return [(sp.attrs, sp) for sp in spans]
-
-
-def refinement_profile_text(profile: list[dict]) -> str:
-    """Render a refinement profile as a compact table string."""
-    from ..metrics.report import format_table
-
-    rows = [
-        [p["level"], p["nvtxs"], p["cut"], p["moves"], p["passes"],
-         f"{p['imbalance']:.3f}" if p["imbalance"] is not None else "-",
-         f"{p['seconds'] * 1e3:.1f}" if p["seconds"] is not None else "-"]
-        for p in profile
-    ]
-    return format_table(
-        ["level", "vertices", "cut", "moves", "passes", "imbalance", "ms"],
-        rows,
-        title="refinement trace (coarse -> fine)",
-    )
 
 
 def matching_efficiency(match: np.ndarray) -> float:

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1.05,
                    help="load-imbalance tolerance per constraint (default: 1.05)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.add_argument("--matching", choices=("hem", "bem", "rm", "fhem"), default="hem",
+    p.add_argument("--matching", choices=("hem", "bem", "rm"), default="hem",
                    help="coarsening matching scheme (default: hem)")
     p.add_argument("--effort", choices=("fast", "standard", "high"),
                    default=None,
@@ -84,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-patience", type=int, metavar="P",
                    help="plateau patience of the initial bisection's "
                         "early stop (0 disables it)")
-    p.add_argument("--strict-ntries", action="store_true",
-                   help="exact legacy multi-start: every round runs every "
-                        "method, no early stop, no duplicate skipping")
     p.add_argument("--out", help="write the partition vector to this file")
     p.add_argument("--demo", type=int, metavar="N",
                    help="ignore the graph file; run on a synthetic N-vertex "
@@ -311,8 +308,6 @@ def main(argv=None) -> int:
                 m.strip() for m in args.init_methods.split(",") if m.strip())
         if args.init_patience is not None:
             init_opts["init_patience"] = args.init_patience
-        if args.strict_ntries:
-            init_opts["strict_ntries"] = True
         if args.effort is not None:
             init_opts["effort"] = args.effort
 

@@ -4,7 +4,6 @@ from .coarsener import Hierarchy, Level, coarsen
 from .matching import (
     MATCHERS,
     balanced_edge_matching,
-    fast_heavy_edge_matching,
     heavy_edge_matching,
     is_matching,
     matching_to_cmap,
@@ -19,7 +18,6 @@ __all__ = [
     "random_matching",
     "heavy_edge_matching",
     "balanced_edge_matching",
-    "fast_heavy_edge_matching",
     "matching_to_cmap",
     "two_hop_matching",
     "is_matching",

@@ -7,17 +7,21 @@ coarse map so the uncoarsening phase can project partitions back up.
 Stopping rules (all standard for multilevel partitioners):
 
 * the coarse graph has at most ``coarsen_to`` vertices, or
-* a level shrinks by less than ``min_shrink`` (matching has stalled, e.g.
-  on star-like graphs where few independent pairs exist), or
-* ``max_levels`` levels were produced.
+* a level shrinks by less than ``min_shrink`` (default :data:`MIN_SHRINK`;
+  matching has stalled, e.g. on star-like graphs where few independent
+  pairs exist), or
+* ``max_levels`` levels (default :data:`MAX_LEVELS`) were produced.
+
+Every driver (k-way, recursive bisection, V-cycles, the parallel driver)
+coarsens under these two defaults.
 
 Performance
 -----------
 Each level is two bulk kernels: a matcher that reads precomputed per-edge
-scores (see ``coarsen.matching``; the balanced-edge tie-break of *every*
-non-random matcher, including the handshaking one, comes from one
-vectorised :func:`~repro.coarsen.matching._edge_balance_scores` sweep) and
-a fully vectorised :func:`~repro.graph.contract.contract`.  Contraction
+scores (see ``coarsen.matching``; the balanced-edge tie-break of both
+non-random matchers comes from one vectorised
+:func:`~repro.coarsen.matching._edge_balance_scores` sweep) and a fully
+vectorised :func:`~repro.graph.contract.contract`.  Contraction
 builds coarse graphs that are valid by construction, so re-validation is
 skipped on this hot path (``docs/performance.md``).
 """
@@ -35,7 +39,12 @@ from ..graph.csr import Graph
 from ..trace import as_tracer
 from .matching import MATCHERS, matching_to_cmap, two_hop_matching
 
-__all__ = ["Level", "Hierarchy", "coarsen"]
+__all__ = ["Level", "Hierarchy", "coarsen", "MAX_LEVELS", "MIN_SHRINK"]
+
+#: Upper bound on coarsening steps.
+MAX_LEVELS = 60
+#: A level that keeps more than this fraction of its vertices has stalled.
+MIN_SHRINK = 0.95
 
 
 @dataclass
@@ -84,9 +93,9 @@ def coarsen(
     graph: Graph,
     *,
     coarsen_to: int = 100,
-    max_levels: int = 60,
+    max_levels: int = MAX_LEVELS,
     matching: str = "hem",
-    min_shrink: float = 0.95,
+    min_shrink: float = MIN_SHRINK,
     two_hop: bool = True,
     seed=None,
     tracer=None,
@@ -173,16 +182,8 @@ def coarsen(
                 hier.levels.append(Level(graph=cur, cmap=cmap))
                 nxt = contract(cur, cmap, ncoarse)
                 if tracer.enabled:
-                    sp.set(
-                        nedges=cur.nedges,
-                        exposed_edge_weight=int(cur.total_adjwgt()),
-                        max_vwgt=int(cur.vwgt.max(initial=0)),
-                        coarse_nvtxs=nxt.nvtxs,
-                        coarse_nedges=nxt.nedges,
-                        coarse_exposed_edge_weight=int(nxt.total_adjwgt()),
-                        coarse_max_vwgt=int(nxt.vwgt.max(initial=0)),
-                        shrink=ncoarse / cur.nvtxs,
-                    )
+                    sp.set(nedges=cur.nedges, coarse_nvtxs=nxt.nvtxs,
+                           shrink=ncoarse / cur.nvtxs)
         if stalled:
             break
         if con is not None:

@@ -7,16 +7,13 @@ weight vectors uniform preserves freedom for the initial-partitioning and
 refinement phases (a coarse vertex that is heavy in only one constraint is
 hard to place).
 
-Four schemes are provided (ablated by benchmark A1):
+Three schemes are provided (ablated by benchmark A1):
 
 * :func:`random_matching` -- match with a random unmatched neighbour;
 * :func:`heavy_edge_matching` -- maximise collapsed edge weight, with the
   balanced-edge score as tie-break (the paper's preferred combination);
 * :func:`balanced_edge_matching` -- minimise the balanced-edge score, with
-  edge weight as tie-break;
-* :func:`fast_heavy_edge_matching` -- bulk-synchronous handshaking HEM
-  (the vectorised / parallel-protocol variant), honouring the balanced
-  tie-break when relative weights are supplied.
+  edge weight as tie-break.
 
 :func:`two_hop_matching` augments any of them when matching stalls.
 
@@ -65,7 +62,6 @@ __all__ = [
     "random_matching",
     "heavy_edge_matching",
     "balanced_edge_matching",
-    "fast_heavy_edge_matching",
     "matching_to_cmap",
     "is_matching",
     "MATCHERS",
@@ -325,72 +321,6 @@ def _tolerance_pick(nbrs, ws, bs) -> int:
     return best
 
 
-def fast_heavy_edge_matching(graph: Graph, seed=None, *, relw=None, rounds: int = 10,
-                             constraint=None) -> np.ndarray:
-    """Vectorised heavy-edge matching by mutual proposals (handshaking).
-
-    Each round, every free vertex proposes to its heaviest free neighbour;
-    mutual proposals become matches.  Every round is a pure NumPy array
-    pass -- no per-vertex Python loop.  When ``relw`` is given (and the
-    graph is multi-constraint) weight ties are broken towards the smaller
-    balanced-edge score, mirroring :func:`heavy_edge_matching`; a random
-    jitter breaks any remaining ties.
-
-    Measured honestly: it is *not* faster than :func:`heavy_edge_matching`
-    in CPython.  On the level-0 graph of a 200k-vertex Type-1 m=3 mesh
-    (2-core x86 box, median of 5 seeds) it takes 2.7 s against the exact
-    round kernel's 0.55 s: its 10 rounds each ``lexsort`` all live edges,
-    while the exact kernel's rounds are a few linear passes.  It is kept
-    because its mutual-proposal structure is the parallel handshaking
-    protocol, making it the reference for `repro.parallel`-style ports.
-    Matchings are slightly less maximal (mutual-only acceptance).
-    Registered as ``"fhem"``.
-    """
-    rng = as_rng(seed)
-    n = graph.nvtxs
-    match = np.arange(n, dtype=_INT)
-    if n == 0 or graph.adjncy.shape[0] == 0:
-        return match
-    src_all = np.repeat(np.arange(n, dtype=_INT), np.diff(graph.xadj))
-    dst_all = graph.adjncy
-    w_all = graph.adjwgt.astype(np.float64)
-    balanced = relw is not None and relw.shape[1] > 1
-    b_all = _edge_balance_scores(graph, relw) if balanced else None
-    allowed = None
-    if constraint is not None:
-        con = _as_constraint(graph, constraint)
-        allowed = con[src_all] == con[dst_all]
-
-    for _ in range(rounds):
-        free = match == np.arange(n)
-        if not free.any():
-            break
-        live = free[src_all] & free[dst_all]
-        if allowed is not None:
-            live &= allowed
-        if not live.any():
-            break
-        src = src_all[live]
-        dst = dst_all[live]
-        # Segment-max: sort ascending so the last entry per src wins the
-        # overwrite below.
-        if balanced:
-            jitter = rng.random(src.shape[0])
-            # Primary src, then weight (max last), then balanced score
-            # (min last), then jitter.
-            order = np.lexsort((jitter, -b_all[live], w_all[live], src))
-        else:
-            w = w_all[live] + rng.random(src.shape[0])  # jitter breaks ties
-            order = np.lexsort((w, src))
-        prop = np.full(n, -1, dtype=_INT)
-        prop[src[order]] = dst[order]
-        # Mutual proposals pair up (symmetric by construction).
-        cand = np.flatnonzero(prop >= 0)
-        mutual = cand[prop[prop[cand]] == cand]
-        match[mutual] = prop[mutual]
-    return match
-
-
 def two_hop_matching(graph: Graph, match: np.ndarray, seed=None, *,
                      max_pair_degree: int | None = None,
                      constraint=None) -> np.ndarray:
@@ -503,5 +433,4 @@ MATCHERS = {
     "rm": random_matching,
     "hem": heavy_edge_matching,
     "bem": balanced_edge_matching,
-    "fhem": fast_heavy_edge_matching,
 }

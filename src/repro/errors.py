@@ -53,7 +53,9 @@ class BalanceError(PartitionError):
 
 
 class OptionsError(PartitionError):
-    """A :class:`~repro.partition.PartitionOptions` keyword does not exist.
+    """A :class:`~repro.partition.PartitionOptions` keyword does not exist,
+    or a named choice (``matching``, ``effort``, ``init_methods``) is not
+    one of its values.
 
     Raised by ``part_graph(..., **kwargs)`` / ``PartitionOptions.with_``
     when an option name is unknown, with a did-you-mean suggestion for the

@@ -34,19 +34,19 @@ time before this rewrite):
   (feasible, cut, balance) key has gone ``patience`` refined candidates
   without improving;
 * every candidate's seed is pre-drawn from the parent stream in one batch
-  (bit-identical to the legacy per-candidate ``spawn``), so the schedule is
+  (bit-identical to a per-candidate ``spawn``), so the schedule is
   deterministic however far the plateau detector lets it run.
 
-``strict=True`` restores the exact legacy exploration (every round runs all
-methods, no early stop); :func:`_reference_initial_bisection` keeps the
-legacy loop verbatim as the parity oracle.
+The first round runs every method; later rounds re-try only
+:data:`FOCUS_METHODS`.  ``tests/oracles.py`` keeps the per-candidate loop
+with the same schedule as the parity oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._rng import as_rng, spawn
+from .._rng import as_rng
 from ..errors import PartitionError
 from ..graph.csr import Graph
 from ..refine.fm2way import BisectScratch, fm2way_refine
@@ -57,7 +57,7 @@ __all__ = ["initial_bisection", "grow_bisection", "gggp_bisection", "INITIAL_MET
 
 INITIAL_METHODS = ("greedy", "prefix", "region", "gggp", "random")
 
-# After the diverse rounds, later rounds re-try only the graph-growing
+# After the first round, later rounds re-try only the graph-growing
 # methods: they are the only seed-sensitive generators (greedy/prefix are
 # near-deterministic given the weights, so re-running them buys nothing).
 FOCUS_METHODS = ("gggp", "region")
@@ -101,7 +101,7 @@ def grow_bisection(graph: Graph, target: float = 0.5, seed=None, scratch=None) -
     maximum -- the per-vertex ``load.max(initial=0.0)`` re-check and
     ``neighbors(v).tolist()`` conversions of the original are hoisted into
     ``scratch`` (see :class:`_GenScratch`); seeded outputs are unchanged
-    (:func:`_reference_grow_bisection` pins the parity).
+    (a per-vertex oracle in ``tests/oracles.py`` pins the parity).
     """
     rng = as_rng(seed)
     n = graph.nvtxs
@@ -146,43 +146,6 @@ def grow_bisection(graph: Graph, target: float = 0.5, seed=None, scratch=None) -
     return np.array(wl, dtype=np.int64)
 
 
-def _reference_grow_bisection(graph: Graph, target: float = 0.5, seed=None) -> np.ndarray:
-    """Per-vertex NumPy oracle for :func:`grow_bisection` (parity tests)."""
-    rng = as_rng(seed)
-    n = graph.nvtxs
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    t = graph.vwgt.sum(axis=0).astype(np.float64)
-    t[t == 0] = 1.0
-    relw = graph.vwgt / t
-
-    where = np.ones(n, dtype=np.int64)
-    start = int(rng.integers(n))
-    load = np.zeros(graph.ncon)
-    visited = np.zeros(n, dtype=bool)
-    frontier = [start]
-    visited[start] = True
-    while frontier and load.max(initial=0.0) < target:
-        nxt = []
-        for v in frontier:
-            if load.max(initial=0.0) >= target:
-                break
-            where[v] = 0
-            load += relw[v]
-            for u in graph.neighbors(v).tolist():
-                if not visited[u]:
-                    visited[u] = True
-                    nxt.append(u)
-        frontier = nxt
-        if not frontier:
-            rest = np.flatnonzero(~visited)
-            if rest.size and load.max(initial=0.0) < target:
-                s = int(rest[rng.integers(rest.size)])
-                visited[s] = True
-                frontier = [s]
-    return where
-
-
 def gggp_bisection(graph: Graph, target: float = 0.5, seed=None, scratch=None) -> np.ndarray:
     """Greedy graph growing with gains (GGGP): grow side 0 from a random
     seed vertex, always absorbing the frontier vertex whose move costs the
@@ -193,7 +156,8 @@ def gggp_bisection(graph: Graph, target: float = 0.5, seed=None, scratch=None) -
     boundary contours, giving noticeably smaller initial cuts on irregular
     graphs at the price of a priority queue.  As in :func:`grow_bisection`
     the absorb loop runs on scratch-hoisted Python lists with identical
-    seeded output (:func:`_reference_gggp_bisection`).
+    seeded output (pinned against a per-vertex oracle in
+    ``tests/oracles.py``).
     """
     from ..refine.pq import LazyMaxPQ
 
@@ -248,68 +212,13 @@ def gggp_bisection(graph: Graph, target: float = 0.5, seed=None, scratch=None) -
     return np.array(wl, dtype=np.int64)
 
 
-def _reference_gggp_bisection(graph: Graph, target: float = 0.5, seed=None) -> np.ndarray:
-    """Per-vertex NumPy oracle for :func:`gggp_bisection` (parity tests)."""
-    from ..refine.pq import LazyMaxPQ
-
-    rng = as_rng(seed)
-    n = graph.nvtxs
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    t = graph.vwgt.sum(axis=0).astype(np.float64)
-    t[t == 0] = 1.0
-    relw = graph.vwgt / t
-
-    where = np.ones(n, dtype=np.int64)
-    in_zero = np.zeros(n, dtype=bool)
-    load = np.zeros(graph.ncon)
-    wto0 = np.zeros(n, dtype=np.int64)
-    wdeg = np.zeros(n, dtype=np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
-    np.add.at(wdeg, src, graph.adjwgt)
-
-    q = LazyMaxPQ()
-
-    def absorb(v: int):
-        nonlocal load
-        where[v] = 0
-        in_zero[v] = True
-        load += relw[v]
-        q.remove(v)
-        for u, w in zip(graph.neighbors(v).tolist(), graph.edge_weights(v).tolist()):
-            if in_zero[u]:
-                continue
-            wto0[u] += w
-            q.insert(u, 2 * wto0[u] - wdeg[u])
-
-    absorb(int(rng.integers(n)))
-    while load.max(initial=0.0) < target:
-        top = q.pop()
-        if top is None:
-            rest = np.flatnonzero(~in_zero)
-            if rest.size == 0:
-                break
-            absorb(int(rest[rng.integers(rest.size)]))
-            continue
-        absorb(int(top[0]))
-    return where
-
-
-def _candidate_schedule(methods, ntries: int, diverse_rounds: int, strict: bool):
-    """Round-by-round method schedule.
-
-    ``strict`` (and the legacy oracle) runs every method every round.  The
-    adaptive default spends ``diverse_rounds`` rounds on the full method
-    pool, then re-tries only the seed-sensitive growing methods
-    (:data:`FOCUS_METHODS`, intersected with ``methods``).
-    """
+def _candidate_schedule(methods, ntries: int):
+    """Round-by-round method schedule: the first round runs every method,
+    later rounds only the seed-sensitive growing methods
+    (:data:`FOCUS_METHODS`, intersected with ``methods``)."""
     methods = tuple(methods)
-    nrounds = max(1, int(ntries))
-    if strict:
-        return [methods] * nrounds
     focus = tuple(m for m in FOCUS_METHODS if m in methods) or methods
-    dr = max(0, int(diverse_rounds))
-    return [methods if r < dr else focus for r in range(nrounds)]
+    return [methods] + [focus] * (max(1, int(ntries)) - 1)
 
 
 def _generate_candidate(method, graph, relw, target, child, gen_scratch) -> np.ndarray:
@@ -348,24 +257,19 @@ def initial_bisection(
     refine_passes: int = 6,
     seed=None,
     methods=INITIAL_METHODS,
-    diverse_rounds: int = 1,
     patience: int = 6,
-    strict: bool = False,
     tracer=None,
 ) -> np.ndarray:
     """Compute an initial bisection of (a small) ``graph``.
 
-    Generates up to ``ntries`` rounds of candidates (the first
-    ``diverse_rounds`` rounds over all of ``methods``, later rounds over
-    the growing methods only), FM-refines each *distinct* candidate with a
-    shared scratch, and returns the best by (feasible, cut,
-    balance-excess).  Refinement stops early once the best key has gone
-    ``patience`` refined candidates without improving (``patience=0``
-    disables the plateau detector).
-
-    ``strict=True`` restores the exact legacy behaviour: every round runs
-    every method and no early stop is taken.  ``tracer`` records one
-    ``initbisect`` span per call (candidate counts, winning method/cut).
+    Generates up to ``ntries`` rounds of candidates (the first round over
+    all of ``methods``, later rounds over the growing methods only),
+    FM-refines each *distinct* candidate with a shared scratch, and returns
+    the best by (feasible, cut, balance-excess).  Refinement stops early
+    once the best key has gone ``patience`` refined candidates without
+    improving (``patience=0`` disables the plateau detector).  ``tracer``
+    records one ``initbisect`` span per call (candidate counts, winning
+    method/cut).
     """
     if graph.nvtxs == 0:
         return np.zeros(0, dtype=np.int64)
@@ -381,8 +285,8 @@ def initial_bisection(
     target = float(fr[0])
     fracs2 = (target, 1.0 - target)
 
-    schedule = _candidate_schedule(methods, ntries, diverse_rounds, strict)
-    # One batch draw for every candidate seed == the legacy per-candidate
+    schedule = _candidate_schedule(methods, ntries)
+    # One batch draw for every candidate seed == the oracle's per-candidate
     # spawn() sequence (spawn draws the same integers from the same
     # stream), so the candidate order is deterministic and independent of
     # how far the plateau detector lets the schedule run.
@@ -391,8 +295,6 @@ def initial_bisection(
     gen_scratch = _GenScratch(graph)
     fm_scratch = BisectScratch(graph, target_fracs=fracs2, ubvec=ubvec)
     relw = fm_scratch.relw
-
-    stop_early = patience > 0 and not strict
 
     best_where = None
     best_key = None
@@ -451,7 +353,7 @@ def initial_bisection(
                     since = 0
                 else:
                     since += 1
-                if stop_early and since >= patience:
+                if patience > 0 and since >= patience:
                     plateau_stop = True
                     break
         if tracer.enabled:
@@ -480,64 +382,4 @@ def initial_bisection(
             tracer, phase="initbisect", direction="initial", level=0,
             graph=graph, where=best_where, nparts=2, fracs=fr,
             cut=int(best_key[1]), seconds=sp.seconds)
-    return best_where
-
-
-def _reference_initial_bisection(
-    graph: Graph,
-    *,
-    target_fracs=(0.5, 0.5),
-    ubvec=1.05,
-    ntries: int = 4,
-    refine_passes: int = 6,
-    seed=None,
-    methods=INITIAL_METHODS,
-    tracer=None,
-) -> np.ndarray:
-    """Legacy per-candidate multi-start loop, kept verbatim as the parity
-    oracle for ``initial_bisection(..., strict=True)``."""
-    if graph.nvtxs == 0:
-        return np.zeros(0, dtype=np.int64)
-    unknown = set(methods) - set(INITIAL_METHODS)
-    if unknown:
-        raise PartitionError(f"unknown initial bisection methods: {sorted(unknown)}")
-    tracer = as_tracer(tracer)
-    rng = as_rng(seed)
-    fr = np.asarray(target_fracs, dtype=np.float64)
-    fr = fr / fr.sum()
-    target = float(fr[0])
-
-    t = graph.vwgt.sum(axis=0).astype(np.float64)
-    t[t == 0] = 1.0
-    relw = graph.vwgt / t
-
-    best_where = None
-    best_key = None
-    for _ in range(max(1, ntries)):
-        for method in methods:
-            (child,) = spawn(rng, 1)
-            if method == "greedy":
-                where = greedy_bisection(relw, target, seed=child)
-            elif method == "prefix":
-                where = best_projection_bisection(relw, target=target, seed=child)
-            elif method == "region":
-                where = _reference_grow_bisection(graph, target, seed=child)
-            elif method == "gggp":
-                where = _reference_gggp_bisection(graph, target, seed=child)
-            else:  # random
-                where = (child.random(graph.nvtxs) > target).astype(np.int64)
-            if graph.nvtxs >= 2 and (where.min() == where.max()):
-                where[int(child.integers(graph.nvtxs))] ^= 1
-
-            st = fm2way_refine(
-                graph, where,
-                target_fracs=(target, 1.0 - target),
-                ubvec=ubvec,
-                npasses=refine_passes,
-                seed=child,
-            )
-            key = (not st.feasible, st.final_cut, st.balance)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_where = where.copy()
     return best_where

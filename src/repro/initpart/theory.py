@@ -83,9 +83,9 @@ def greedy_bisection(relw: np.ndarray, target: float = 0.5, seed=None) -> np.nda
     The placement loop is inherently sequential (each decision depends on
     the running loads), so it runs on plain-Python floats: at ``m <= 5``
     elements per step, ufunc dispatch costs more than the arithmetic.  The
-    operations are IEEE-identical to the NumPy-row version
-    (:func:`_reference_greedy_bisection` pins the parity), so seeded
-    outputs are unchanged.
+    operations are IEEE-identical to the NumPy-row version (a per-row
+    oracle in ``tests/oracles.py`` pins the parity), so seeded outputs are
+    unchanged.
 
     Returns a 0/1 side vector.
     """
@@ -122,29 +122,6 @@ def greedy_bisection(relw: np.ndarray, target: float = 0.5, seed=None) -> np.nda
                 load1[j] += w[j]
             wl[v] = 1
     where[:] = wl
-    return where
-
-
-def _reference_greedy_bisection(relw: np.ndarray, target: float = 0.5, seed=None) -> np.ndarray:
-    """Per-row NumPy oracle for :func:`greedy_bisection` (parity tests)."""
-    relw = _check_relw(relw)
-    if not (0.0 < target < 1.0):
-        raise WeightError("target must be in (0, 1)")
-    n, m = relw.shape
-    rng = as_rng(seed)
-    order = np.lexsort((rng.random(n), -relw.max(axis=1)))
-    tot = relw.sum(axis=0)
-    tgt = np.stack([target * tot, (1.0 - target) * tot])
-    scale = np.where(tgt > 0, tgt, 1.0)
-    load = np.zeros((2, m))
-    where = np.zeros(n, dtype=np.int64)
-    for v in order.tolist():
-        w = relw[v]
-        over0 = ((load[0] + w - tgt[0]) / scale[0]).max()
-        over1 = ((load[1] + w - tgt[1]) / scale[1]).max()
-        side = 0 if over0 <= over1 else 1
-        load[side] += w
-        where[v] = side
     return where
 
 
@@ -234,8 +211,8 @@ def best_projection_bisection(
     row-wise argsort / gather / cumsum instead of ``T`` python-loop
     iterations of :func:`prefix_bisection` -- with the winning candidate
     selected by exactly the same per-candidate excess computation as the
-    reference loop (:func:`_reference_best_projection_bisection` pins the
-    seeded parity).
+    per-projection loop (an oracle in ``tests/oracles.py`` pins the seeded
+    parity).
     """
     relw = _check_relw(relw)
     n, m = relw.shape
@@ -275,28 +252,6 @@ def best_projection_bisection(
                     ((tot - load0) - (1.0 - target) * tot).max(initial=0.0),
                 )
             )
-            if exc < best_exc:
-                best_exc = exc
-                best_where = where
-    return best_where
-
-
-def _reference_best_projection_bisection(
-    relw: np.ndarray, ntries: int = 8, target: float = 0.5, seed=None
-) -> np.ndarray:
-    """Per-projection oracle for :func:`best_projection_bisection`
-    (parity tests)."""
-    relw = _check_relw(relw)
-    rng = as_rng(seed)
-    projections = list(_projection_stack(relw, ntries, rng))
-    best_where = None
-    best_exc = np.inf
-    for proj in projections:
-        for where in (
-            prefix_bisection(relw, proj, target),
-            alternating_bisection(relw, proj, target),
-        ):
-            exc = bisection_excess(relw, where, target)
             if exc < best_exc:
                 best_exc = exc
                 best_where = where

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._rng import as_rng, spawn
+from ..coarsen.coarsener import MAX_LEVELS, MIN_SHRINK
 from ..coarsen.matching import matching_to_cmap
 from ..errors import CommError, DegradedResult, FaultError, FaultSpecError, PhaseTimeoutError
 from ..faults.recovery import RecoveryPolicy, run_with_retries
@@ -264,7 +265,7 @@ def _pipeline(graph, nparts, nranks, options, fabric, policy, tracer, root,
     levels: list[tuple[Graph, np.ndarray]] = []
     cur = graph
     with tracer.span("coarsen") as csp:
-        while cur.nvtxs > coarsen_to and len(levels) < options.max_coarsen_levels:
+        while cur.nvtxs > coarsen_to and len(levels) < MAX_LEVELS:
             if deadline is not None and _elapsed() > deadline:
                 raise PhaseTimeoutError(
                     f"phase 'coarsen' exceeded its time budget "
@@ -280,7 +281,7 @@ def _pipeline(graph, nparts, nranks, options, fabric, policy, tracer, root,
                                   phase="coarsen", deadline=deadline,
                                   tracer=tracer)
                 cmap, ncoarse = matching_to_cmap(match)
-                if ncoarse > options.min_shrink * cur.nvtxs:
+                if ncoarse > MIN_SHRINK * cur.nvtxs:
                     sp.set(stalled=True)
                     break
                 levels.append((cur, cmap))

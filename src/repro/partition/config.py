@@ -5,6 +5,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, fields, replace
 
+from ..coarsen.matching import MATCHERS
 from ..errors import OptionsError, PartitionError
 
 __all__ = ["PartitionOptions", "check_option_kwargs"]
@@ -27,33 +28,27 @@ class PartitionOptions:
         RNG seed (int / Generator / None).
     matching:
         Matching scheme for coarsening: ``"hem"`` (default, balanced-edge
-        tie-break), ``"bem"``, ``"rm"``, or ``"fhem"`` (vectorised
-        handshaking HEM -- fastest, no balanced-edge tie-break).
+        tie-break), ``"bem"`` or ``"rm"``.
     coarsen_to:
         Coarsest-graph size for 2-way multilevel bisection (default 100).
         A (sub)graph of at most ``2 * coarsen_to`` vertices is bisected
         directly, without coarsening.
     kway_coarsen_factor:
-        The k-way driver coarsens to ``max(kway_coarsen_factor * nparts,
-        coarsen_to)`` vertices.
-    max_coarsen_levels, min_shrink:
-        Coarsening loop bounds (see :func:`repro.coarsen.coarsen`).
+        The k-way driver coarsens to ``max(kway_coarsen_factor * nparts *
+        max(1, ncon - 1), coarsen_to)`` vertices
+        (:func:`repro.partition.kway.kway_coarsen_target`).
     init_ntries:
-        Candidate rounds in the initial bisection.
+        Candidate rounds in the initial bisection.  The first round runs
+        every method of ``init_methods``; later rounds re-try only the
+        seed-sensitive graph-growing methods.
     init_methods:
         Candidate-generation methods for the initial bisection (a subset of
         :data:`repro.initpart.INITIAL_METHODS`; unknown names raise
         :class:`~repro.errors.OptionsError` with a suggestion).
-    init_diverse_rounds:
-        How many of the ``init_ntries`` rounds run *every* method; later
-        rounds re-try only the seed-sensitive graph-growing methods.
     init_patience:
         Plateau patience of the initial bisection: stop refining candidates
         once the best (feasible, cut, balance) key has gone this many
         refined candidates without improving.  0 disables the early stop.
-    strict_ntries:
-        Run the exact legacy multi-start (every round runs every method,
-        no plateau stop, no duplicate skipping).
     refine_passes:
         FM passes per uncoarsening level (2-way).
     kway_refine_passes:
@@ -73,10 +68,6 @@ class PartitionOptions:
         iterated V-cycles via :func:`repro.partition.vcycle.vcycle_improve`
         -- cut is never worse than standard).  See docs/api.md
         "Effort levels".
-    vcycle_max:
-        Maximum number of iterated V-cycles under ``effort="high"``.
-    vcycle_patience:
-        Stop iterating after this many consecutive non-improving V-cycles.
     """
 
     ubvec: object = 1.05
@@ -84,35 +75,29 @@ class PartitionOptions:
     matching: str = "hem"
     coarsen_to: int = 100
     kway_coarsen_factor: int = 30
-    max_coarsen_levels: int = 60
-    min_shrink: float = 0.95
     init_ntries: int = 5
     init_methods: tuple = ("greedy", "prefix", "region", "gggp")
-    init_diverse_rounds: int = 1
     init_patience: int = 6
-    strict_ntries: bool = False
     refine_passes: int = 8
     kway_refine_passes: int = 8
     collect_stats: bool = False
     effort: str = "standard"
-    vcycle_max: int = 8
-    vcycle_patience: int = 2
 
     def __post_init__(self):
-        if self.matching not in ("hem", "bem", "rm", "fhem"):
-            raise PartitionError(f"unknown matching scheme {self.matching!r}")
+        if self.matching not in MATCHERS:
+            raise OptionsError(
+                f"unknown matching scheme {self.matching!r}; "
+                f"pick from {', '.join(map(repr, MATCHERS))}")
         if self.effort not in ("fast", "standard", "high"):
             raise OptionsError(
                 f"unknown effort level {self.effort!r}; "
                 "pick from 'fast', 'standard', 'high'")
-        if self.vcycle_max < 1 or self.vcycle_patience < 1:
-            raise PartitionError("vcycle_max/vcycle_patience must be >= 1")
         if self.coarsen_to < 2:
             raise PartitionError("coarsen_to must be >= 2")
         if self.init_ntries < 1 or self.refine_passes < 0 or self.kway_refine_passes < 0:
             raise PartitionError("iteration counts must be positive")
-        if self.init_patience < 0 or self.init_diverse_rounds < 0:
-            raise PartitionError("init_patience/init_diverse_rounds must be >= 0")
+        if self.init_patience < 0:
+            raise PartitionError("init_patience must be >= 0")
         if not isinstance(self.init_methods, tuple):
             object.__setattr__(self, "init_methods", tuple(self.init_methods))
         if not self.init_methods:

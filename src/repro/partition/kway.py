@@ -34,6 +34,17 @@ from .recursive import partition_recursive
 __all__ = ["partition_kway"]
 
 
+def kway_coarsen_target(graph: Graph, nparts: int, options: PartitionOptions) -> int:
+    """Coarsest-graph size of the k-way driver (and of each V-cycle).
+
+    More constraints need a larger coarsest graph: chunky coarse vertices
+    leave too little freedom to satisfy m caps at once (the paper's
+    observation that quality drops as movable vertices become scarce).
+    """
+    return max(options.kway_coarsen_factor * nparts * max(1, graph.ncon - 1),
+               options.coarsen_to)
+
+
 def partition_kway(
     graph: Graph,
     nparts: int,
@@ -62,22 +73,14 @@ def partition_kway(
     rng = as_rng(options.seed)
     ub = as_ubvec(options.ubvec, graph.ncon)
     fracs = as_target_fracs(target_fracs, nparts)
-    # More constraints need a larger coarsest graph: chunky coarse vertices
-    # leave too little freedom to satisfy m caps at once (the paper's
-    # observation that quality drops as movable vertices become scarce).
-    coarsen_to = max(
-        options.kway_coarsen_factor * nparts * max(1, graph.ncon - 1),
-        options.coarsen_to,
-    )
+    coarsen_to = kway_coarsen_target(graph, nparts, options)
 
     with tracer.span("coarsen", nvtxs=graph.nvtxs, nedges=graph.nedges) as csp:
         if graph.nvtxs > 1.5 * coarsen_to:
             hier = coarsen(
                 graph,
                 coarsen_to=coarsen_to,
-                max_levels=options.max_coarsen_levels,
                 matching=options.matching,
-                min_shrink=options.min_shrink,
                 seed=rng,
                 tracer=tracer,
             )

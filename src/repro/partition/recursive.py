@@ -64,9 +64,7 @@ def multilevel_bisection(
         hier = coarsen(
             graph,
             coarsen_to=options.coarsen_to,
-            max_levels=options.max_coarsen_levels,
             matching=options.matching,
-            min_shrink=options.min_shrink,
             seed=rng,
             tracer=tracer,
         )
@@ -82,9 +80,7 @@ def multilevel_bisection(
         ntries=options.init_ntries,
         seed=init_rng,
         methods=options.init_methods,
-        diverse_rounds=options.init_diverse_rounds,
         patience=options.init_patience,
-        strict=options.strict_ntries,
         tracer=tracer,
     )
     if hier is not None:

@@ -20,7 +20,7 @@ construction, and :func:`vcycle_once` additionally guards the output so
 a cycle can never return something worse than its input.
 
 :func:`vcycle_improve` repeats V-cycles with freshly seeded matchings
-until ``options.vcycle_max`` cycles ran or ``options.vcycle_patience``
+until :data:`VCYCLE_MAX` cycles ran or :data:`VCYCLE_PATIENCE`
 consecutive cycles failed to improve.  This is what
 ``part_graph(..., effort="high")`` runs after the standard pipeline, and
 what the evolutionary ensemble (:mod:`repro.partition.ensemble`) uses as
@@ -48,8 +48,14 @@ from ..weights.balance import (
     imbalance,
 )
 from .config import PartitionOptions
+from .kway import kway_coarsen_target
 
-__all__ = ["VCycleStats", "vcycle_once", "vcycle_improve"]
+__all__ = ["VCycleStats", "vcycle_once", "vcycle_improve", "VCYCLE_MAX", "VCYCLE_PATIENCE"]
+
+#: At most this many V-cycles per :func:`vcycle_improve` call ...
+VCYCLE_MAX = 8
+#: ... stopping after this many consecutive cycles without improvement.
+VCYCLE_PATIENCE = 2
 
 
 @dataclass
@@ -123,10 +129,7 @@ def vcycle_once(
     con = part if constraint is None else _check_part(
         graph, constraint, int(np.max(constraint)) + 1)
 
-    coarsen_to = max(
-        options.kway_coarsen_factor * nparts * max(1, graph.ncon - 1),
-        options.coarsen_to,
-    )
+    coarsen_to = kway_coarsen_target(graph, nparts, options)
     (coarsen_rng, refine_rng) = spawn(rng, 2)
     in_key = _quality_key(graph, part, nparts, ub, fracs)
 
@@ -135,9 +138,7 @@ def vcycle_once(
         hier = coarsen(
             graph,
             coarsen_to=coarsen_to,
-            max_levels=options.max_coarsen_levels,
             matching=options.matching,
-            min_shrink=options.min_shrink,
             seed=coarsen_rng,
             constraint=con,
         )
@@ -184,8 +185,8 @@ def vcycle_improve(
 ) -> tuple[np.ndarray, VCycleStats]:
     """Iterate :func:`vcycle_once` until the patience budget is exhausted.
 
-    Runs at most ``options.vcycle_max`` cycles, stopping early after
-    ``options.vcycle_patience`` consecutive cycles without a strict
+    Runs at most :data:`VCYCLE_MAX` cycles, stopping early after
+    :data:`VCYCLE_PATIENCE` consecutive cycles without a strict
     improvement of the (feasible, cut, imbalance) key.  Each cycle draws a
     fresh child seed, so successive cycles explore different hierarchies.
     Returns ``(best_part, VCycleStats)``; ``best_part`` is never worse
@@ -206,7 +207,7 @@ def vcycle_improve(
 
     with tracer.span("vcycle_improve", nparts=nparts,
                      cut_before=initial_cut) as sp:
-        while cycles < options.vcycle_max and stale < options.vcycle_patience:
+        while cycles < VCYCLE_MAX and stale < VCYCLE_PATIENCE:
             (cycle_rng,) = spawn(rng, 1)
             cand = vcycle_once(
                 graph, best, nparts, options, target_fracs=target_fracs,

@@ -335,20 +335,6 @@ class TwoWayState:
             queues.append(row)
         return queues
 
-    def _reference_build_queues(self, *, boundary_only: bool = True, locked=None):
-        """Per-vertex oracle for :meth:`build_queues` (parity tests)."""
-        m = self._m
-        queues = [[LazyMaxPQ() for _ in range(m)] for _ in range(2)]
-        if boundary_only:
-            verts = np.flatnonzero(np.asarray(self._ed) > 0)
-        else:
-            verts = np.arange(self.graph.nvtxs)
-        for v in verts.tolist():
-            if locked is not None and locked[v]:
-                continue
-            queues[self._wh[v]][self._doml[v]].insert(v, self.gain(v))
-        return queues
-
 
 def _drain_for_balance(state: TwoWayState, q: LazyMaxPQ, b_now: float, limit: int) -> int:
     """Pop candidates from ``q`` in gain order until one strictly reduces

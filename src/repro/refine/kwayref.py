@@ -235,13 +235,6 @@ class KWayState:
             out[p] = get(p, 0) + adjw[i]
         return out
 
-    def _reference_boundary(self) -> np.ndarray:
-        """O(E) boundary recomputation (oracle for :meth:`boundary`)."""
-        g = self.graph
-        src = np.repeat(np.arange(g.nvtxs, dtype=np.int64), np.diff(g.xadj))
-        crossing = self.where[src] != self.where[g.adjncy]
-        return np.unique(src[crossing])
-
 
 def kway_refine(
     graph: Graph,

@@ -48,18 +48,12 @@ SEMANTIC_OPTION_FIELDS = (
     "matching",
     "coarsen_to",
     "kway_coarsen_factor",
-    "max_coarsen_levels",
-    "min_shrink",
     "init_ntries",
     "init_methods",
-    "init_diverse_rounds",
     "init_patience",
-    "strict_ntries",
     "refine_passes",
     "kway_refine_passes",
     "effort",
-    "vcycle_max",
-    "vcycle_patience",
 )
 
 

@@ -228,51 +228,3 @@ class TestCoarsen:
         h_rm = coarsen(g, coarsen_to=100, matching="rm", seed=1)
         # Compare exposed edge weight at similar sizes (level 2).
         assert h_hem.levels[2].graph.total_adjwgt() <= h_rm.levels[2].graph.total_adjwgt()
-
-
-class TestFastHEM:
-    def test_valid_matching(self, mesh2000):
-        from repro.coarsen import fast_heavy_edge_matching, is_matching
-
-        match = fast_heavy_edge_matching(mesh2000, seed=0)
-        assert is_matching(mesh2000, match)
-
-    def test_matches_most_vertices(self, mesh2000):
-        from repro.coarsen import fast_heavy_edge_matching
-
-        match = fast_heavy_edge_matching(mesh2000, seed=1)
-        unmatched = np.count_nonzero(match == np.arange(2000))
-        assert unmatched < 0.25 * 2000
-
-    def test_prefers_heavy_edges(self):
-        # A 4-path with a dominant middle edge must match the middle pair.
-        g = from_edges(4, [(0, 1), (1, 2), (2, 3)], weights=[1, 100, 1])
-        from repro.coarsen import fast_heavy_edge_matching
-
-        for seed in range(5):
-            match = fast_heavy_edge_matching(g, seed=seed)
-            assert match[1] == 2 and match[2] == 1
-
-    def test_deterministic(self, mesh500):
-        from repro.coarsen import fast_heavy_edge_matching
-
-        a = fast_heavy_edge_matching(mesh500, seed=7)
-        b = fast_heavy_edge_matching(mesh500, seed=7)
-        assert np.array_equal(a, b)
-
-    def test_empty_and_edgeless(self):
-        from repro.coarsen import fast_heavy_edge_matching
-        from repro.graph import Graph
-
-        g = Graph([0, 0, 0], [])
-        assert np.array_equal(fast_heavy_edge_matching(g, seed=0), np.arange(2))
-
-    def test_coarsens_end_to_end(self, mesh2000):
-        hier = coarsen(mesh2000, coarsen_to=100, matching="fhem", seed=2)
-        assert hier.coarsest.nvtxs <= 200
-
-    def test_driver_accepts_fhem(self, mesh500):
-        from repro.partition import part_graph
-
-        res = part_graph(mesh500, 4, matching="fhem", seed=3)
-        assert res.feasible

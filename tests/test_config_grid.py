@@ -25,7 +25,7 @@ def instance():
 
 
 @pytest.mark.parametrize("method", ["kway", "recursive"])
-@pytest.mark.parametrize("matching", ["hem", "bem", "rm", "fhem"])
+@pytest.mark.parametrize("matching", ["hem", "bem", "rm"])
 def test_every_configuration_valid(instance, method, matching):
     res = part_graph(
         instance, 6,

@@ -229,8 +229,9 @@ class TestGGGP:
 
 
 class TestOptimizedParity:
-    """The batched/vectorized fast paths pinned against the in-tree
-    ``_reference_*`` oracles: same seed, bit-identical side vectors."""
+    """The batched/vectorized fast paths pinned against the
+    ``_reference_*`` oracles of ``tests/oracles.py``: same seed,
+    bit-identical side vectors."""
 
     def _corpus(self):
         cases = []
@@ -242,7 +243,7 @@ class TestOptimizedParity:
         return cases
 
     def test_grow_matches_reference(self):
-        from repro.initpart.bisect import _reference_grow_bisection
+        from tests.oracles import _reference_grow_bisection
 
         for g in self._corpus():
             for seed in (0, 1, 2):
@@ -252,7 +253,7 @@ class TestOptimizedParity:
 
     def test_gggp_matches_reference(self):
         from repro.initpart import gggp_bisection
-        from repro.initpart.bisect import _reference_gggp_bisection
+        from tests.oracles import _reference_gggp_bisection
 
         for g in self._corpus():
             for seed in (0, 1, 2):
@@ -261,8 +262,8 @@ class TestOptimizedParity:
                     _reference_gggp_bisection(g, seed=seed))
 
     def test_asymmetric_target_matches_reference(self):
-        from repro.initpart.bisect import (_reference_gggp_bisection,
-                                           _reference_grow_bisection)
+        from tests.oracles import (_reference_gggp_bisection,
+                                   _reference_grow_bisection)
 
         g = self._corpus()[2]
         for target in (0.25, 0.375):
@@ -280,7 +281,7 @@ class TestOptimizedParity:
                 yield _relw(n, m, seed=10 * n + m)
 
     def test_greedy_matches_reference(self):
-        from repro.initpart.theory import _reference_greedy_bisection
+        from tests.oracles import _reference_greedy_bisection
 
         for relw in self._relw_corpus():
             for target in (0.5, 0.3):
@@ -290,8 +291,7 @@ class TestOptimizedParity:
                         _reference_greedy_bisection(relw, target, seed=seed))
 
     def test_best_projection_matches_reference(self):
-        from repro.initpart.theory import \
-            _reference_best_projection_bisection
+        from tests.oracles import _reference_best_projection_bisection
 
         for relw in self._relw_corpus():
             for target in (0.5, 0.3):
@@ -302,20 +302,22 @@ class TestOptimizedParity:
                         _reference_best_projection_bisection(
                             relw, target=target, seed=seed))
 
-    def test_strict_matches_reference_multistart(self):
-        """``strict=True`` replays the legacy exhaustive loop exactly."""
-        from repro.initpart.bisect import _reference_initial_bisection
+    def test_patience0_matches_reference_multistart(self):
+        """Without the plateau stop the batched multi-start returns the
+        per-candidate loop's winner (duplicate skipping cannot change it)."""
+        from tests.oracles import _reference_initial_bisection
 
         for g in self._corpus():
-            fast = initial_bisection(g, ntries=3, seed=11, strict=True)
-            ref = _reference_initial_bisection(g, ntries=3, seed=11)
-            assert np.array_equal(fast, ref)
+            for ntries in (1, 2, 3):
+                fast = initial_bisection(g, ntries=ntries, seed=11, patience=0)
+                ref = _reference_initial_bisection(g, ntries=ntries, seed=11)
+                assert np.array_equal(fast, ref), (g.nvtxs, ntries)
 
     def test_early_stop_deterministic(self):
         """Same seed -> same winner, with and without the plateau stop."""
         g = mesh_like(400, seed=9).with_vwgt(
             random_vwgt(400, 2, low=1, high=9, seed=9))
-        for kwargs in ({"patience": 2}, {"patience": 4}, {"strict": True}):
+        for kwargs in ({"patience": 2}, {"patience": 4}, {"patience": 0}):
             a = initial_bisection(g, ntries=8, seed=5, **kwargs)
             b = initial_bisection(g, ntries=8, seed=5, **kwargs)
             assert np.array_equal(a, b), kwargs
@@ -326,12 +328,12 @@ class TestOptimizedParity:
         g = mesh_like(400, seed=9).with_vwgt(
             random_vwgt(400, 2, low=1, high=9, seed=9))
         adaptive = initial_bisection(g, ntries=8, seed=5, patience=4)
-        strict = initial_bisection(g, ntries=8, seed=5, strict=True)
+        exhaustive = initial_bisection(g, ntries=8, seed=5, patience=0)
         relw = relative_weights(g.vwgt)
-        for where in (adaptive, strict):
+        for where in (adaptive, exhaustive):
             load0 = relw[where == 0].sum(axis=0)
             assert np.all(load0 <= 0.55)
-        assert edge_cut(g, adaptive) <= edge_cut(g, strict) * 1.5
+        assert edge_cut(g, adaptive) <= edge_cut(g, exhaustive) * 1.5
 
 
 class TestInitOptionsFrontDoor:
@@ -363,29 +365,39 @@ class TestInitOptionsFrontDoor:
         # Retired options: both front doors reject them as unknown.
         for name, value in (("kway_policy", "priority"),
                             ("final_balance", False),
-                            ("rb_multilevel", False)):
+                            ("rb_multilevel", False),
+                            ("strict_ntries", True),
+                            ("init_diverse_rounds", 2),
+                            ("max_coarsen_levels", 10),
+                            ("min_shrink", 0.9),
+                            ("vcycle_max", 4),
+                            ("vcycle_patience", 1)):
             with pytest.raises(OptionsError, match=name):
                 part_graph(g, 4, **{name: value})
             with pytest.raises(OptionsError, match=name):
                 PartitionOptions().with_(**{name: value})
+        # The retired handshaking matcher is no longer a matching scheme.
+        with pytest.raises(OptionsError, match="fhem"):
+            part_graph(g, 4, matching="fhem")
+        with pytest.raises(OptionsError, match="fhem"):
+            PartitionOptions().with_(matching="fhem")
 
     def test_cli_flags_reach_options(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
             ["--demo", "100", "2", "--init-ntries", "3",
-             "--init-methods", "greedy,gggp", "--init-patience", "2",
-             "--strict-ntries"])
+             "--init-methods", "greedy,gggp", "--init-patience", "2"])
         assert args.init_ntries == 3
         assert args.init_methods == "greedy,gggp"
         assert args.init_patience == 2
-        assert args.strict_ntries is True
-        # --init-workers went away with the init pool: argparse's usage
-        # error (exit status 2), not a silently ignored flag.
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(
-                ["--demo", "100", "2", "--init-workers", "0"])
-        assert exc.value.code == 2
+        # Retired flags and values get argparse's usage error (exit
+        # status 2), not a silently ignored flag.
+        for extra in (["--init-workers", "0"], ["--strict-ntries"],
+                      ["--matching", "fhem"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["--demo", "100", "2", *extra])
+            assert exc.value.code == 2, extra
 
     def test_cli_typo_exits_with_suggestion(self, capsys):
         from repro.cli import main

@@ -3,6 +3,9 @@ package metadata."""
 
 from __future__ import annotations
 
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,3 +88,26 @@ class TestPackage:
         import repro.refine
         import repro.viz
         import repro.weights
+
+    def test_no_reference_oracles_in_package(self):
+        """Test-only ``_reference_*`` oracles live in ``tests/oracles.py``,
+        not in the shipped package."""
+        root = Path(repro.__file__).parent
+        hits = [f"{path.relative_to(root)}:{lineno}"
+                for path in sorted(root.rglob("*.py"))
+                for lineno, line in enumerate(path.read_text().splitlines(), 1)
+                if "def _reference_" in line]
+        assert hits == []
+
+    def test_options_docstring_lists_every_field(self):
+        """The ``Attributes`` section of ``PartitionOptions`` documents
+        exactly the live fields, in declaration order."""
+        from repro.partition.config import OPTION_FIELDS, PartitionOptions
+
+        doc = inspect.cleandoc(PartitionOptions.__doc__)
+        section = doc.split("Attributes\n----------\n", 1)[1]
+        names = [name.strip()
+                 for line in section.splitlines()
+                 if line and not line[0].isspace()
+                 for name in line.rstrip(":").split(",")]
+        assert tuple(names) == OPTION_FIELDS

@@ -2,8 +2,7 @@
 kernels (PR 2).
 
 Every optimized kernel is pinned against the pre-existing per-vertex
-implementation, kept as a ``_reference_*`` oracle (the matching ones in
-``tests/oracles.py``):
+implementation, kept as a ``_reference_*`` oracle in ``tests/oracles.py``:
 
 * the round-synchronous HEM/BEM kernel vs :func:`_reference_greedy_matching`
   (with and without partition labels, down a match->contract chain, and on
@@ -26,7 +25,6 @@ from hypothesis import strategies as st
 from repro.coarsen.matching import (
     _edge_balance_scores,
     balanced_edge_matching,
-    fast_heavy_edge_matching,
     heavy_edge_matching,
     is_matching,
     matching_to_cmap,
@@ -40,6 +38,8 @@ from repro.refine.kwayref import KWayState
 from repro.weights import type1_region_weights
 from tests.oracles import (
     _balance_score,
+    _reference_boundary,
+    _reference_build_queues,
     _reference_greedy_matching,
     _reference_random_matching,
 )
@@ -213,33 +213,6 @@ def test_two_hop_matching_valid_and_deterministic():
     assert out1[0] == 1 and out1[1] == 0
 
 
-def test_fhem_balanced_tiebreak():
-    # Path b - a - c with equal edge weights: the balanced tie-break must
-    # pick the partner whose combined weight vector is more uniform.
-    g = from_edges(3, np.array([[0, 1], [0, 2]]))
-    vw = np.array([[1, 1], [9, 1], [2, 3]], dtype=np.int64)  # a, b, c
-    g = g.with_vwgt(vw)
-    t = vw.sum(axis=0).astype(np.float64)
-    relw = vw / t
-    s_b = _balance_score(relw[0] + relw[1])
-    s_c = _balance_score(relw[0] + relw[2])
-    assert s_b != s_c
-    best = 1 if s_b < s_c else 2
-    for seed in SEEDS:
-        match = fast_heavy_edge_matching(g, seed, relw=relw)
-        assert match[0] == best and match[best] == 0
-    # Without relw the choice falls to random jitter; just check validity.
-    assert is_matching(g, fast_heavy_edge_matching(g, 0))
-
-
-def test_fhem_valid_on_meshes():
-    for g in _graphs():
-        t = g.vwgt.sum(axis=0, dtype=np.float64)
-        t[t == 0] = 1.0
-        m = fast_heavy_edge_matching(g, 1, relw=g.vwgt / t)
-        assert is_matching(g, m)
-
-
 def test_is_matching_vectorized():
     g = from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]))
     good = np.array([1, 0, 3, 2])
@@ -262,7 +235,7 @@ def test_build_queues_parity_pop_sequences():
             st_a = TwoWayState(g, where.copy())
             st_b = TwoWayState(g, where.copy())
             qa = st_a.build_queues(boundary_only=boundary_only)
-            qb = st_b._reference_build_queues(boundary_only=boundary_only)
+            qb = _reference_build_queues(st_b, boundary_only=boundary_only)
             for side in range(2):
                 for c in range(g.ncon):
                     a, b = qa[side][c], qb[side][c]
@@ -317,7 +290,7 @@ def test_kway_state_consistent_after_random_moves():
         id_, ed = kway_degrees(g, st.where)
         assert np.array_equal(st.id_, id_)
         assert np.array_equal(st.ed, ed)
-        assert np.array_equal(st.boundary(), st._reference_boundary())
+        assert np.array_equal(st.boundary(), _reference_boundary(st))
         assert np.array_equal(st.counts, np.bincount(st.where, minlength=nparts))
         for p in range(nparts):
             assert np.allclose(st.pw[p], st.relw[st.where == p].sum(axis=0))

@@ -151,7 +151,7 @@ class TestCacheConsistencyProperty:
                 nparts = int(draw.integers(2, 9))
                 seed = int(draw.integers(0, 2**31))
                 method = ["kway", "recursive"][int(draw.integers(0, 2))]
-                matching = ["hem", "bem", "rm", "fhem"][int(draw.integers(0, 4))]
+                matching = ["hem", "bem", "rm"][int(draw.integers(0, 3))]
                 ubvec = float(draw.uniform(1.02, 1.4))
                 g = make_graph(n, ncon, seed=int(draw.integers(0, 10_000)))
                 kwargs = dict(method=method, seed=seed, ubvec=ubvec,

@@ -8,13 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    coarsening_profile_from_trace,
-    profile_text,
-    refinement_profile,
-    refinement_profile_text,
-)
 from repro.graph import mesh_like
+from repro.obs import FlightRecorder, profile_from_events, render_profile
 from repro.partition import best_of, part_graph
 from repro.trace import (
     NULL_TRACER,
@@ -552,29 +547,37 @@ class TestDriverSpans:
 
 
 class TestTraceDiagnostics:
+    """Per-level profiles of a traced run come from the flight recorder
+    and agree with the run's :class:`TraceReport`."""
+
+    @staticmethod
+    def _recorded(mesh, seed):
+        rec = FlightRecorder()
+        tracer = Tracer([rec])
+        res = part_graph(mesh, 4, seed=seed, tracer=tracer)
+        tracer.finish()
+        return res, rec.profile()
+
     def test_coarsening_profile_from_trace(self, mesh):
-        res = part_graph(mesh, 4, seed=12, collect_stats=True)
-        prof = coarsening_profile_from_trace(res.stats)
-        assert [p["nvtxs"] for p in prof] == res.stats["levels"]
-        assert prof[0]["shrink"] == 1.0
-        assert all(0 < p["shrink"] <= 1.0 for p in prof[1:])
-        assert all(p["exposed_edge_weight"] > 0 for p in prof)
-        text = profile_text(prof)
-        assert "coarsening profile" in text and "600" in text
+        res, prof = self._recorded(mesh, 12)
+        assert [r.nvtxs for r in prof.coarsening] == res.stats.levels[:-1]
+        assert prof.initial.nvtxs == res.stats.levels[-1]
+        assert all(0 < r.shrink <= 1.0 for r in prof.coarsening)
+        text = render_profile(prof)
+        assert "coarsen" in text and "600" in text
 
     def test_refinement_profile_from_trace(self, mesh):
-        res = part_graph(mesh, 4, seed=13, collect_stats=True)
-        prof = refinement_profile(res.stats)
-        assert len(prof) == len(res.stats["trace"])
-        assert prof[-1]["nvtxs"] == 600  # finest level last
-        assert all(p["seconds"] >= 0 for p in prof)
-        text = refinement_profile_text(prof)
-        assert "refinement trace" in text
+        res, prof = self._recorded(mesh, 13)
+        assert len(prof.uncoarsening) == len(res.stats["trace"])
+        assert prof.uncoarsening[-1].nvtxs == 600  # finest level last
+        assert prof.uncoarsening[-1].cut == res.edgecut
+        assert all(r.seconds >= 0 for r in prof.uncoarsening)
+        assert "refine" in render_profile(prof)
 
     def test_profiles_empty_without_phases(self):
         rep = TraceReport(None)
-        assert coarsening_profile_from_trace(rep) == []
-        assert refinement_profile(rep) == []
+        assert rep.levels == [] and rep.level_trace() == []
+        assert profile_from_events([]).rows() == []
 
 
 class TestNoopOverheadGuard:

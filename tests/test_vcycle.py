@@ -24,6 +24,7 @@ from repro.partition import (
     vcycle_improve,
     vcycle_once,
 )
+from repro.partition.vcycle import VCYCLE_MAX, VCYCLE_PATIENCE
 from repro.weights import max_imbalance
 
 
@@ -109,27 +110,33 @@ class TestConstrainedCoarsening:
 class TestVCycleImprove:
     def test_monotone_with_stats(self, mesh500):
         part = _interleaved(mesh500, 4)
-        opts = PartitionOptions(seed=4, vcycle_max=4, vcycle_patience=2)
+        opts = PartitionOptions(seed=4)
         best, stats = vcycle_improve(mesh500, part, 4, opts)
         assert stats.final_cut == edge_cut(mesh500, best)
         assert stats.final_cut <= stats.initial_cut
         assert stats.initial_cut == edge_cut(mesh500, part)
-        assert 1 <= stats.cycles <= 4
+        assert 1 <= stats.cycles <= VCYCLE_MAX
         assert 0 <= stats.improved <= stats.cycles
 
     def test_deterministic(self, mesh500):
         part = _interleaved(mesh500, 4)
-        opts = PartitionOptions(seed=9, vcycle_max=3)
+        opts = PartitionOptions(seed=9)
         a, sa = vcycle_improve(mesh500, part, 4, opts)
         b, sb = vcycle_improve(mesh500, part, 4, opts)
         assert np.array_equal(a, b)
         assert sa == sb
 
-    def test_validates_budget_options(self):
-        with pytest.raises(PartitionError):
-            PartitionOptions(vcycle_max=0)
-        with pytest.raises(PartitionError):
-            PartitionOptions(vcycle_patience=0)
+    def test_validates_budget_options(self, mesh500):
+        """The V-cycle budget is fixed (no option sets it): a run stops at
+        VCYCLE_MAX cycles or after VCYCLE_PATIENCE stale ones."""
+        assert (VCYCLE_MAX, VCYCLE_PATIENCE) == (8, 2)
+        for name in ("vcycle_max", "vcycle_patience"):
+            with pytest.raises(OptionsError, match=name):
+                PartitionOptions().with_(**{name: 1})
+        _, stats = vcycle_improve(mesh500, _interleaved(mesh500, 4), 4,
+                                  PartitionOptions(seed=4))
+        assert (stats.cycles == VCYCLE_MAX
+                or stats.cycles - stats.improved >= VCYCLE_PATIENCE)
 
 
 class TestEffortLevels:
